@@ -50,14 +50,13 @@ class StartHashMismatch(FlipcertError):
 
 
 def _read_json(path):
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+    # ValueError: bad JSON, bad UTF-8 or huge ints; RecursionError: deep nesting
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        if path == "-":
+            return json.loads(sys.stdin.read())
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.loads(handle.read())
+    except (ValueError, RecursionError) as exc:
         raise serialize.MalformedDocument(f"{path}: {exc}")
 
 
@@ -106,7 +105,12 @@ def _cmd_moves(args) -> int:
     k = complex_from_doc(_read_json(args.input))
     _warn_if_not_pseudomanifold(k, args.input)
     if args.types:
-        allowed = {int(t) for t in args.types.split(",")}
+        try:
+            allowed = {int(t) for t in args.types.split(",")}
+        except ValueError:
+            raise InputError(
+                f"--types {args.types!r} is not a comma-separated list of integers"
+            )
     else:
         allowed = set(range(k.dim + 1))
     found = enumerate_moves(k, allowed)

@@ -75,8 +75,6 @@ class Complex:
         cleaned = sorted({as_simplex(f) for f in facets})
         if not cleaned:
             raise EmptyComplex("a complex needs at least one facet")
-        if dim < -1:
-            raise WrongFacetSize(f"dimension {dim} is below -1")
         for f in cleaned:
             if len(f) != dim + 1:
                 raise WrongFacetSize(
@@ -155,8 +153,6 @@ def boundary_simplex(t) -> Complex:
     t = as_simplex(t)
     if len(t) == 0:
         raise EmptySimplex("the empty simplex has no boundary complex")
-    if len(t) == 1:
-        return empty_facet_complex()
     return Complex(len(t) - 2, itertools.combinations(t, len(t) - 1))
 
 
@@ -212,8 +208,6 @@ def is_pseudomanifold(k: Complex) -> bool:
 def is_boundary_of_simplex(k: Complex) -> bool:
     """True iff ``k`` is the full boundary of a simplex: ``dim + 2`` vertices
     carrying every possible facet."""
-    if k.dim < 0:
-        return False
     if len(k.support) != k.dim + 2:
         return False
     # dim+2 distinct (dim+1)-subsets of a (dim+2)-set are all of them.

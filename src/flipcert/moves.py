@@ -70,14 +70,12 @@ def is_applicable(k: Complex, sigma) -> Optional[Move]:
     a face already; otherwise ``None``.
     """
     sigma = as_simplex(sigma)
-    i = move_type_of(k, sigma)
+    lk = link(k, sigma)  # raises NotAFace
+    i = k.dim - (len(sigma) - 1)
     if i == 0:
         return Move(sigma, (fresh_vertex(k),), 0)
-    lk = link(k, sigma)
     verts = tuple(sorted(lk.support))
     if len(verts) != i + 1:
-        return None
-    if len(lk.facets) != i + 1:
         return None
     if set(lk.facets) != set(itertools.combinations(verts, i)):
         return None

@@ -95,16 +95,11 @@ def make_polytope(dim, facet_names, vertices) -> SimplePolytope:
 
 @dataclass(frozen=True)
 class DualComplexMap:
-    """A polytope together with its dual boundary complex.
-
-    ``facet_to_vertex`` maps facet indices of the polytope to vertex ids of
-    the complex (the identity for freshly built duals, kept explicit because
-    downstream bookkeeping is phrased in complex vertex ids).
-    """
+    """A polytope together with its dual boundary complex, whose vertex
+    ``i`` is the polytope's facet ``i``."""
 
     polytope: SimplePolytope
     complex: Complex
-    facet_to_vertex: tuple  # facet_to_vertex[i] = vertex id of facet i
 
 
 def dual_complex(p: SimplePolytope) -> DualComplexMap:
@@ -117,11 +112,7 @@ def dual_complex(p: SimplePolytope) -> DualComplexMap:
     nonempty face.
     """
     facets = [tuple(sorted(v)) for v in p.vertices]
-    return DualComplexMap(
-        polytope=p,
-        complex=Complex(p.dim - 1, facets),
-        facet_to_vertex=tuple(range(p.facet_count)),
-    )
+    return DualComplexMap(polytope=p, complex=Complex(p.dim - 1, facets))
 
 
 def simplex_polytope(n: int) -> SimplePolytope:
@@ -161,12 +152,7 @@ def product(p: SimplePolytope, q: SimplePolytope) -> SimplePolytope:
 
 
 def rename_facets(p: SimplePolytope, names) -> SimplePolytope:
-    names = tuple(names)
-    if len(names) != p.facet_count:
-        raise UnknownFacetIndex(
-            f"got {len(names)} names for {p.facet_count} facets"
-        )
-    return SimplePolytope(p.dim, names, p.vertices)
+    return SimplePolytope(p.dim, tuple(names), p.vertices)
 
 
 def cube_polytope(n: int) -> SimplePolytope:

@@ -10,7 +10,7 @@ computed in exact integer arithmetic, so the ±1 test never sees rounding.
 from dataclasses import dataclass
 
 from .errors import FlipcertError, InputError
-from .polytopes import BadDimension, SimplePolytope, simplex_polytope
+from .polytopes import SimplePolytope, simplex_polytope
 
 
 class ShapeMismatch(InputError):
@@ -63,7 +63,7 @@ def det_int(matrix) -> int:
     return sign * a[-1][-1]
 
 
-def _validate_shape(pair: CharacteristicPair) -> None:
+def validate_shape(pair: CharacteristicPair) -> None:
     n = pair.polytope.dim
     m = pair.polytope.facet_count
     if len(pair.matrix) != n:
@@ -88,7 +88,7 @@ def check_freeness(pair: CharacteristicPair) -> FreenessReport:
     A vertex passes iff its minor has determinant ±1; failures are reported
     with the offending determinant value.
     """
-    _validate_shape(pair)
+    validate_shape(pair)
     failing = []
     for index, vertex in enumerate(pair.polytope.vertices):
         det = vertex_minor_determinant(pair, vertex)
@@ -100,8 +100,6 @@ def check_freeness(pair: CharacteristicPair) -> FreenessReport:
 def cpn_pair(n: int) -> CharacteristicPair:
     """The classical pair over the n-simplex whose kernel is the diagonal
     circle: facet 0 maps to -(e1+...+en), facet i to e_i."""
-    if n < 1:
-        raise BadDimension(f"need n >= 1, got {n}")
     rows = []
     for r in range(n):
         row = [-1] + [1 if c == r else 0 for c in range(n)]

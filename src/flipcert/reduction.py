@@ -89,9 +89,10 @@ def _check_sphere_candidate(k: Complex) -> None:
     except DimensionTooLow as exc:  # pragma: no cover - dim 0 handled above
         raise BadInput(str(exc))
     expected = 1 + (-1) ** k.dim
-    if euler_characteristic(k) != expected:
+    chi = euler_characteristic(k)
+    if chi != expected:
         raise BadInput(
-            f"Euler characteristic {euler_characteristic(k)} does not match "
+            f"Euler characteristic {chi} does not match "
             f"a {k.dim}-sphere ({expected})"
         )
 

@@ -13,7 +13,7 @@ from .complexes import Complex
 from .errors import InputError
 from .moves import Move
 from .polytopes import SimplePolytope, make_polytope
-from .quasitoric import CharacteristicPair
+from .quasitoric import CharacteristicPair, validate_shape
 from .reduction import ReductionResult
 
 
@@ -30,15 +30,34 @@ def digest(doc) -> str:
     return "sha256:" + hashlib.sha256(raw).hexdigest()
 
 
-def _require(doc, key, kind, where):
+def _fits(value, kind) -> bool:
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(_fits(v, kind[0]) for v in value)
+    if isinstance(kind, tuple):
+        return any(_fits(value, k) for k in kind)
+    if kind is None:
+        return value is None
+    return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
+
+
+def _kind_name(kind) -> str:
+    if isinstance(kind, list):
+        return "list of " + _kind_name(kind[0])
+    if isinstance(kind, tuple):
+        return " or ".join(map(_kind_name, kind))
+    return "null" if kind is None else kind.__name__
+
+
+def require(doc, key, kind, where):
+    """``doc[key]``, checked against ``kind``: a type, ``None`` for null,
+    ``[k]`` for a list of kind ``k`` or a tuple of alternatives.  Bools
+    never count as ints."""
     if not isinstance(doc, dict) or key not in doc:
         raise MalformedDocument(f"{where}: missing key {key!r}")
     value = doc[key]
-    if kind is int and isinstance(value, bool):
-        raise MalformedDocument(f"{where}: {key!r} must be an integer")
-    if not isinstance(value, kind):
+    if not _fits(value, kind):
         raise MalformedDocument(
-            f"{where}: {key!r} must be {kind.__name__}, got {type(value).__name__}"
+            f"{where}: {key!r} must be {_kind_name(kind)}, got {type(value).__name__}"
         )
     return value
 
@@ -50,13 +69,8 @@ def complex_to_doc(k: Complex) -> dict:
 
 
 def complex_from_doc(doc) -> Complex:
-    dim = _require(doc, "dim", int, "complex")
-    facets = _require(doc, "facets", list, "complex")
-    for f in facets:
-        if not isinstance(f, list) or any(
-            not isinstance(v, int) or isinstance(v, bool) for v in f
-        ):
-            raise MalformedDocument("complex: facets must be lists of integers")
+    dim = require(doc, "dim", int, "complex")
+    facets = require(doc, "facets", [[int]], "complex")
     return Complex(dim, facets)
 
 
@@ -71,12 +85,9 @@ def move_to_doc(m: Move) -> dict:
 
 
 def move_from_doc(doc) -> Move:
-    move_type = _require(doc, "type", int, "move")
-    sigma = _require(doc, "sigma", list, "move")
-    tau = _require(doc, "tau", list, "move")
-    for part, name in ((sigma, "sigma"), (tau, "tau")):
-        if any(not isinstance(v, int) or isinstance(v, bool) for v in part):
-            raise MalformedDocument(f"move: {name} must be a list of integers")
+    move_type = require(doc, "type", int, "move")
+    sigma = require(doc, "sigma", [int], "move")
+    tau = require(doc, "tau", [int], "move")
     return Move(tuple(sorted(sigma)), tuple(sorted(tau)), move_type)
 
 
@@ -94,10 +105,10 @@ def move_sequence_from_doc(doc):
         return None, [move_from_doc(m) for m in doc]
     if isinstance(doc, dict) and isinstance(doc.get("moves"), dict):
         return move_sequence_from_doc(doc["moves"])
-    moves = _require(doc, "moves", list, "move sequence")
-    start_hash = doc.get("start_hash")
-    if start_hash is not None and not isinstance(start_hash, str):
-        raise MalformedDocument("move sequence: start_hash must be a string")
+    moves = require(doc, "moves", list, "move sequence")
+    start_hash = None
+    if "start_hash" in doc:
+        start_hash = require(doc, "start_hash", (str, None), "move sequence")
     return start_hash, [move_from_doc(m) for m in moves]
 
 
@@ -112,16 +123,9 @@ def polytope_to_doc(p: SimplePolytope) -> dict:
 
 
 def polytope_from_doc(doc) -> SimplePolytope:
-    dim = _require(doc, "dim", int, "polytope")
-    facets = _require(doc, "facets", list, "polytope")
-    vertices = _require(doc, "vertices", list, "polytope")
-    if any(not isinstance(name, str) for name in facets):
-        raise MalformedDocument("polytope: facet names must be strings")
-    for v in vertices:
-        if not isinstance(v, list) or any(
-            not isinstance(i, int) or isinstance(i, bool) for i in v
-        ):
-            raise MalformedDocument("polytope: vertices must be lists of integers")
+    dim = require(doc, "dim", int, "polytope")
+    facets = require(doc, "facets", [str], "polytope")
+    vertices = require(doc, "vertices", [[int]], "polytope")
     return make_polytope(dim, facets, vertices)
 
 
@@ -147,19 +151,17 @@ def lambda_to_doc(pair: CharacteristicPair) -> dict:
 
 
 def lambda_from_doc(doc, polytope: SimplePolytope) -> CharacteristicPair:
-    rows = _require(doc, "rows", int, "lambda")
-    cols = _require(doc, "cols", int, "lambda")
-    entries = _require(doc, "entries", list, "lambda")
-    if rows != len(entries):
-        raise MalformedDocument(f"lambda: declared {rows} rows, got {len(entries)}")
-    matrix = []
-    for row in entries:
-        if not isinstance(row, list) or len(row) != cols or any(
-            not isinstance(x, int) or isinstance(x, bool) for x in row
-        ):
-            raise MalformedDocument("lambda: entries must be rows of integers")
-        matrix.append(tuple(row))
-    return CharacteristicPair(polytope, tuple(matrix))
+    """Parse a characteristic matrix, checking its shape against ``polytope``."""
+    rows = require(doc, "rows", int, "lambda")
+    cols = require(doc, "cols", int, "lambda")
+    entries = require(doc, "entries", [[int]], "lambda")
+    if rows != len(entries) or any(len(row) != cols for row in entries):
+        raise MalformedDocument(
+            f"lambda: declared {rows}x{cols}, entries do not have that shape"
+        )
+    pair = CharacteristicPair(polytope, tuple(tuple(row) for row in entries))
+    validate_shape(pair)
+    return pair
 
 
 def dump(doc) -> str:

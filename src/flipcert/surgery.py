@@ -20,13 +20,12 @@ from .polytopes import DualComplexMap, SimplePolytope, dual_complex
 from .quasitoric import CharacteristicPair, ShapeMismatch, check_freeness
 from .reduction import ReductionResult, ReplayFailure, replay
 from .serialize import (
-    MalformedDocument,
-    _require,
     complex_digest,
     move_from_doc,
     move_to_doc,
     polytope_from_doc,
     polytope_to_doc,
+    require,
 )
 
 
@@ -107,9 +106,8 @@ class SurgeryCertificate:
 
 
 def codimension_for(n: int, construction_type: int) -> int:
-    """Surgery codimension of a construction move of type ``i`` over an
-    n-polytope: 2n for i=0, 2n-2i in the middle range, 2 for i=n-1.  All
-    three clauses agree with the single closed form 2n-2i."""
+    """Surgery codimension ``2n - 2i`` of a construction move of type ``i``
+    over an n-polytope."""
     return 2 * n - 2 * construction_type
 
 
@@ -120,29 +118,33 @@ def build_ledger(dual: DualComplexMap, result: ReductionResult) -> SurgeryCertif
     The base stage is the moment-angle manifold of the simplex (a sphere of
     dimension 2n+1) times one circle per construction-type-0 step.
     """
-    if not result.succeeded:
+    if not result.succeeded or not is_boundary_of_simplex(result.final):
         raise NotReduced("the reduction did not reach a simplex boundary")
-    endpoint = replay(dual.complex, result.moves)
-    if endpoint != result.final or not is_boundary_of_simplex(endpoint):
-        raise NotReduced("recorded moves do not replay to the recorded final complex")
+    # inverse_move drops the declared type, so the replay below cannot see it
+    if any(m.move_type != len(m.tau) - 1 for m in result.moves):
+        raise NotReduced("a recorded move declares the wrong type")
     n = dual.polytope.dim
     construction_moves = [inverse_move(m) for m in reversed(result.moves)]
     steps = []
     current = result.final
     for index, move in enumerate(construction_moves):
-        current = replay(current, [move])
+        try:
+            current = replay(current, [move])
+        except ReplayFailure as exc:
+            raise NotReduced(
+                f"construction step {index} does not replay: {exc.reason}"
+            )
         i = move.move_type
-        codim = codimension_for(n, i)
-        assert codim == 2 + 2 * (n - 1 - i)
         steps.append(SurgeryStep(
             index=index,
             construction_type=i,
             sigma=move.sigma,
             tau=move.tau,
-            codimension=codim,
+            codimension=codimension_for(n, i),
             torus_rank_delta=1 if i == 0 else 0,
             post_f_vector=f_vector(current),
         ))
+    # moves are exact inverses, so this also proves the forward replay
     if current != dual.complex:
         raise NotReduced("construction replay does not return to the dual complex")
     extra_circles = sum(s.torus_rank_delta for s in steps)
@@ -211,7 +213,6 @@ def verify_certificate(cert: SurgeryCertificate) -> VerificationReport:
     )
 
     reduction_ok = False
-    endpoint = None
     try:
         endpoint = replay(dual.complex, cert.reduction_moves)
         reduction_ok = is_boundary_of_simplex(endpoint)
@@ -223,7 +224,6 @@ def verify_certificate(cert: SurgeryCertificate) -> VerificationReport:
     except ReplayFailure as exc:
         check("reduction-replay", False, str(exc))
 
-    mirror_ok = True
     if len(cert.steps) != len(cert.reduction_moves):
         mirror_ok = check(
             "steps-mirror-moves", False,
@@ -249,9 +249,7 @@ def verify_certificate(cert: SurgeryCertificate) -> VerificationReport:
 
     detail = ""
     for step in cert.steps:
-        i = step.construction_type
-        j = n - 1 - i
-        if step.codimension != codimension_for(n, i) or step.codimension != 2 + 2 * j:
+        if step.codimension != codimension_for(n, step.construction_type):
             detail = f"codimension formula violated at step {step.index}"
             break
     check("codimension-formula", not detail, detail)
@@ -452,16 +450,13 @@ def certificate_to_doc(cert: SurgeryCertificate) -> dict:
 
 
 def _step_from_doc(doc) -> SurgeryStep:
-    index = _require(doc, "index", int, "step")
-    ctype = _require(doc, "construction_type", int, "step")
-    sigma = _require(doc, "sigma", list, "step")
-    tau = _require(doc, "tau", list, "step")
-    codim = _require(doc, "codimension", int, "step")
-    delta = _require(doc, "torus_rank_delta", int, "step")
-    post = _require(doc, "post_f_vector", list, "step")
-    for part in (sigma, tau, post):
-        if any(not isinstance(x, int) or isinstance(x, bool) for x in part):
-            raise MalformedDocument("step: expected lists of integers")
+    index = require(doc, "index", int, "step")
+    ctype = require(doc, "construction_type", int, "step")
+    sigma = require(doc, "sigma", [int], "step")
+    tau = require(doc, "tau", [int], "step")
+    codim = require(doc, "codimension", int, "step")
+    delta = require(doc, "torus_rank_delta", int, "step")
+    post = require(doc, "post_f_vector", [int], "step")
     return SurgeryStep(
         index=index,
         construction_type=ctype,
@@ -477,31 +472,23 @@ def certificate_from_doc(doc) -> SurgeryCertificate:
     """Parse an untrusted certificate document, enforcing the schema only;
     semantic claims are left to :func:`verify_certificate`."""
     try:
-        polytope = polytope_from_doc(_require(doc, "polytope", dict, "certificate"))
-        dual_hash = _require(doc, "dual_hash", str, "certificate")
+        polytope = polytope_from_doc(require(doc, "polytope", dict, "certificate"))
+        dual_hash = require(doc, "dual_hash", str, "certificate")
         moves = [
             move_from_doc(m)
-            for m in _require(doc, "reduction_moves", list, "certificate")
+            for m in require(doc, "reduction_moves", list, "certificate")
         ]
         steps = [
-            _step_from_doc(s) for s in _require(doc, "steps", list, "certificate")
+            _step_from_doc(s) for s in require(doc, "steps", list, "certificate")
         ]
-        stage_doc = _require(doc, "base_stage", dict, "certificate")
+        stage_doc = require(doc, "base_stage", dict, "certificate")
         stage = BaseStage(
-            sphere_dimension=_require(stage_doc, "sphere_dimension", int, "base_stage"),
-            extra_circles=_require(stage_doc, "extra_circles", int, "base_stage"),
+            sphere_dimension=require(stage_doc, "sphere_dimension", int, "base_stage"),
+            extra_circles=require(stage_doc, "extra_circles", int, "base_stage"),
         )
-        if "min_codimension" not in doc:
-            raise MalformedDocument("certificate: missing key 'min_codimension'")
-        min_codim = doc["min_codimension"]
-        if min_codim is not None and (
-            not isinstance(min_codim, int) or isinstance(min_codim, bool)
-        ):
-            raise MalformedDocument("certificate: min_codimension must be int or null")
-        citations = _require(doc, "citations", list, "certificate")
-        if any(not isinstance(c, str) for c in citations):
-            raise MalformedDocument("certificate: citations must be strings")
-        verified = _require(doc, "verified", bool, "certificate")
+        min_codim = require(doc, "min_codimension", (int, None), "certificate")
+        citations = require(doc, "citations", [str], "certificate")
+        verified = require(doc, "verified", bool, "certificate")
     except InputError as exc:
         raise MalformedCertificate(str(exc))
     return SurgeryCertificate(

@@ -176,6 +176,50 @@ def test_malformed_input_exits_two(capsys, tmp_path):
     assert json.loads(err)["code"] == "MalformedDocument"
 
 
+@pytest.mark.parametrize("raw", [
+    b"[" * 200000 + b"]" * 200000,  # deeper than the decoder's recursion limit
+    b"\xff\xfe{}",  # not UTF-8
+], ids=["deep-nesting", "not-utf8"])
+def test_undecodable_input_exits_two(capsys, tmp_path, raw):
+    path = tmp_path / "bad.json"
+    path.write_bytes(raw)
+    code, out, err = run(capsys, ["verify", str(path)])
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err)["code"] == "MalformedDocument"
+
+
+@pytest.mark.parametrize("types", ["a", "1,,2"])
+def test_moves_rejects_malformed_types(capsys, tmp_path, types):
+    path = write_json(
+        tmp_path / "k.json", complex_to_doc(fc.new_complex(2, B5_FACETS))
+    )
+    code, out, err = run(capsys, ["moves", path, "--types", types])
+    assert code == 2 and out == ""
+    assert json.loads(err)["code"] == "InputError"
+
+
+def test_certify_rejects_misshapen_lambda_before_searching(
+        capsys, tmp_path, monkeypatch):
+    import flipcert.cli
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("search ran before the lambda shape check")
+
+    monkeypatch.setattr(flipcert.cli, "reduce_to_simplex", no_search)
+    ppath = write_json(
+        tmp_path / "cube.json", polytope_to_doc(fc.named_polytope("cube-3"))
+    )
+    lpath = write_json(tmp_path / "l.json", lambda_to_doc(fc.cpn_pair(2)))
+    cert_path = tmp_path / "cert.json"
+    code, out, err = run(capsys, [
+        "certify", ppath, "--lambda", lpath, "--output", str(cert_path),
+    ])
+    assert code == 2 and out == ""
+    assert json.loads(err)["code"] == "ShapeMismatch"
+    assert not cert_path.exists()
+
+
 def test_unknown_flag_is_rejected(capsys):
     with pytest.raises(SystemExit) as info:
         main(["reduce", "--unknown-flag", "1"])
@@ -248,7 +292,10 @@ def test_outputs_identical_across_processes(tmp_path):
     # must make the bytes identical anyway
     import subprocess
     import sys
+    from pathlib import Path
 
+    # the child imports the same flipcert package this test imported
+    package_root = str(Path(fc.__file__).resolve().parent.parent)
     octa = fc.dual_complex(fc.named_polytope("cube-3")).complex
     kpath = write_json(tmp_path / "k.json", complex_to_doc(octa))
     outputs = []
@@ -256,7 +303,8 @@ def test_outputs_identical_across_processes(tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "flipcert", "reduce", kpath, "--seed", "7"],
             capture_output=True, text=True,
-            env={"PYTHONHASHSEED": seed_env, "PATH": "/usr/bin:/bin"},
+            env={"PYTHONHASHSEED": seed_env, "PATH": "/usr/bin:/bin",
+                 "PYTHONPATH": package_root},
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)

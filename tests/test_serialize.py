@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 
@@ -20,6 +21,14 @@ from flipcert.serialize import (
     polytope_from_doc,
     polytope_to_doc,
 )
+from flipcert.quasitoric import ShapeMismatch
+from flipcert.surgery import (
+    MalformedCertificate,
+    certificate_from_doc,
+    certificate_to_doc,
+)
+
+from conftest import B5_FACETS
 
 
 B5_CANONICAL = '{"dim":2,"facets":[[0,1,4],[0,1,5],[0,2,4],[0,2,5],[1,2,4],[1,2,5]]}'
@@ -86,3 +95,100 @@ def test_lambda_round_trip():
     with pytest.raises(MalformedDocument):
         lambda_from_doc({"rows": 2, "cols": 3, "entries": [[1, 0, 0]]},
                         pair.polytope)
+    with pytest.raises(ShapeMismatch):  # well formed, but not 3 x 4
+        lambda_from_doc(lambda_to_doc(fc.cpn_pair(2)), pair.polytope)
+
+
+@pytest.fixture(scope="module")
+def schema_bases(corpus_certs):
+    """(valid document, parser, expected error) for each untrusted kind."""
+    b5 = fc.new_complex(2, B5_FACETS)
+    pair = fc.cpn_pair(2)
+    return {
+        "complex": (complex_to_doc(b5), complex_from_doc, MalformedDocument),
+        "move": (move_to_doc(Move((0, 1), (4, 5), 1)), move_from_doc,
+                 MalformedDocument),
+        "move sequence": (
+            move_sequence_to_doc(b5, [Move((4,), (0, 1, 2), 2)]),
+            move_sequence_from_doc, MalformedDocument,
+        ),
+        "polytope": (polytope_to_doc(fc.named_polytope("prism")),
+                     polytope_from_doc, MalformedDocument),
+        "lambda": (lambda_to_doc(pair),
+                   lambda doc: lambda_from_doc(doc, pair.polytope),
+                   MalformedDocument),
+        "certificate": (certificate_to_doc(corpus_certs["prism"][2]),
+                        certificate_from_doc, MalformedCertificate),
+    }
+
+
+# (document kind, path to the edited value, value put there)
+SCHEMA_CASES = [
+    ("complex", ("dim",), True),
+    ("complex", ("facets", 0, 1), "x"),
+    ("complex", ("facets", 0), 3),
+    ("move", ("type",), True),
+    ("move", ("sigma", 0), "0"),
+    ("move", ("tau", 1), False),
+    ("move", ("tau",), "45"),
+    ("move sequence", ("start_hash",), 5),
+    ("move sequence", ("moves", 0, "sigma", 0), True),
+    ("polytope", ("dim",), False),
+    ("polytope", ("facets", 0), 7),
+    ("polytope", ("vertices", 0), "012"),
+    ("polytope", ("vertices", 0, 0), True),
+    ("lambda", ("rows",), True),
+    ("lambda", ("cols",), 3.0),
+    ("lambda", ("entries", 0), 5),
+    ("lambda", ("entries", 0, 0), "-1"),
+    ("certificate", ("dual_hash",), 1),
+    ("certificate", ("polytope", "vertices", 0), 1),
+    ("certificate", ("reduction_moves", 0, "sigma", 0), True),
+    ("certificate", ("steps", 0, "index"), True),
+    ("certificate", ("steps", 0, "construction_type"), False),
+    ("certificate", ("steps", 0, "sigma", 0), "1"),
+    ("certificate", ("steps", 0, "tau"), [True]),
+    ("certificate", ("steps", 0, "codimension"), True),
+    ("certificate", ("steps", 0, "torus_rank_delta"), True),
+    ("certificate", ("steps", 0, "post_f_vector", 0), "6"),
+    ("certificate", ("base_stage", "extra_circles"), True),
+    ("certificate", ("min_codimension",), True),
+    ("certificate", ("min_codimension",), "4"),
+    ("certificate", ("citations", 0), 0),
+    ("certificate", ("verified",), 1),
+]
+
+
+@pytest.mark.parametrize(
+    "kind,path,value", SCHEMA_CASES,
+    ids=[f"{k}:{'/'.join(map(str, p))}={v!r}" for k, p, v in SCHEMA_CASES],
+)
+def test_schema_rejects_wrong_types(schema_bases, kind, path, value):
+    base, parse, error = schema_bases[kind]
+    parse(base)  # the unedited document is valid
+    doc = copy.deepcopy(base)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(error) as info:
+        parse(doc)
+    key = [k for k in path if isinstance(k, str)][-1]
+    assert f"{key!r} must be" in str(info.value)
+    if path[-1] == key:
+        assert str(info.value).endswith(f"got {type(value).__name__}")
+
+
+def test_min_codimension_may_be_null(corpus_certs):
+    doc = certificate_to_doc(corpus_certs["simplex-3"][2])
+    assert doc["min_codimension"] is None
+    assert certificate_from_doc(doc).min_codimension is None
+    doc = certificate_to_doc(corpus_certs["prism"][2])
+    doc["min_codimension"] = None
+    assert certificate_from_doc(doc).min_codimension is None
+
+
+def test_start_hash_is_optional_and_may_be_null():
+    moves = [move_to_doc(Move((4,), (0, 1, 2), 2))]
+    assert move_sequence_from_doc({"moves": moves})[0] is None
+    assert move_sequence_from_doc({"moves": moves, "start_hash": None})[0] is None

@@ -76,6 +76,23 @@ def test_build_ledger_requires_success(b5):
         build_ledger(dual, failed)
 
 
+def test_build_ledger_rejects_moves_that_do_not_replay(corpus_certs):
+    dual, result, _ = corpus_certs["cube-3"]
+    first = result.moves[0]
+    bogus = Move(first.sigma, tuple(v + 100 for v in first.tau), first.move_type)
+    mistyped = Move(first.sigma, first.tau, first.move_type + 1)
+    forged = (
+        ReductionResult((bogus,) + result.moves[1:], result.final, True, 3),
+        ReductionResult((mistyped,) + result.moves[1:], result.final, True, 3),
+        ReductionResult(result.moves[1:], result.final, True, 3),
+        ReductionResult((), result.final, True, 0),
+        ReductionResult(result.moves, dual.complex, True, 3),
+    )
+    for claimed in forged:
+        with pytest.raises(NotReduced):
+            build_ledger(dual, claimed)
+
+
 def test_verify_accepts_corpus(corpus_certs):
     for name, (_, _, cert) in corpus_certs.items():
         report = verify_certificate(cert)
