@@ -10,6 +10,8 @@ A move of type ``i`` on a complex of dimension ``n-1`` rewrites the star of a
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_
 from typing import Optional
 
 from .complexes import (
@@ -113,15 +115,19 @@ def apply_move(k: Complex, m: Move) -> Complex:
             )
         if detected.tau != tau:
             raise StaleTau(f"expected tau {detected.tau}, got {tau}")
+    return _rewrite(k, sigma, tau)
+
+
+def _rewrite(k: Complex, sigma, tau) -> Complex:
+    """Replace the facets containing ``sigma`` by ``{s ∪ tau : s in
+    boundary(sigma)}``, unchecked: only for a move just found applicable on
+    ``k`` (by ``apply_move``'s checks or by ``enumerate_moves``)."""
     sset = set(sigma)
     kept = [f for f in k.facets if not sset.issubset(f)]
-    if len(sigma) == 1:
-        added = [tau]
-    else:
-        added = [
-            tuple(sorted(s + tau))
-            for s in itertools.combinations(sigma, len(sigma) - 1)
-        ]
+    added = [
+        tuple(sorted(s + tau))
+        for s in itertools.combinations(sigma, len(sigma) - 1)
+    ]
     return Complex(k.dim, kept + added)
 
 
@@ -133,16 +139,43 @@ def inverse_move(m: Move) -> Move:
 def enumerate_moves(k: Complex, allowed_types) -> list:
     """All applicable moves with a type in ``allowed_types``, sorted by
     (type, sigma).  Type-0 moves are reported once per facet with the
-    canonical fresh vertex."""
+    canonical fresh vertex.
+
+    Same result as ``is_applicable`` on every face, from one vertex-star
+    index: ``star[v]`` is the bitmask of the facets containing ``v``, so the
+    facets containing a face are the AND of its vertices' stars.  A face
+    ``sigma`` of type ``i >= 1`` is a move exactly when it lies in ``i + 1``
+    facets whose union minus ``sigma`` has ``i + 1`` vertices ``tau`` (the
+    ``i + 1`` distinct residues are then all of ``boundary(tau)``) and the
+    stars of ``tau`` share no facet (``tau`` is not a face).
+    """
     allowed = sorted(set(allowed_types))
     if any(t < 0 or t > k.dim for t in allowed):
         raise InputError(
             f"move types {allowed} outside 0..{k.dim}"
         )
+    facets = k.facets
+    star = {}
+    for index, f in enumerate(facets):
+        for v in f:
+            star[v] = star.get(v, 0) | 1 << index
     out = []
     for i in allowed:
+        if i == 0:
+            tau = (fresh_vertex(k),)
+            out.extend(Move(f, tau, 0) for f in facets)
+            continue
         for sigma in faces_of_dimension(k, k.dim - i):
-            m = is_applicable(k, sigma)
-            if m is not None:
-                out.append(m)
+            owners = reduce(and_, map(star.__getitem__, sigma))
+            if owners.bit_count() != i + 1:
+                continue
+            rest = set()
+            while owners:
+                low = owners & -owners
+                rest.update(facets[low.bit_length() - 1])
+                owners ^= low
+            rest.difference_update(sigma)
+            if len(rest) != i + 1 or reduce(and_, map(star.__getitem__, rest)):
+                continue
+            out.append(Move(sigma, tuple(sorted(rest)), i))
     return out

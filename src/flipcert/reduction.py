@@ -16,14 +16,13 @@ from typing import Optional
 
 from .complexes import (
     Complex,
-    DimensionTooLow,
     euler_characteristic,
     f_vector,
     is_boundary_of_simplex,
     is_pseudomanifold,
 )
 from .errors import FlipcertError, InputError
-from .moves import apply_move, enumerate_moves
+from .moves import _rewrite, apply_move, enumerate_moves
 
 
 class BadInput(InputError):
@@ -77,17 +76,16 @@ class ReductionResult:
 
 
 def _check_sphere_candidate(k: Complex) -> None:
+    if k.dim < 0:
+        raise BadInput("a sphere needs dimension >= 0")
     if k.dim == 0:
         # Dimension 0 admits no pseudomanifold test; the only sphere is a
         # point pair, which is already a simplex boundary.
         if len(k.support) != 2:
             raise BadInput("a 0-dimensional sphere must be exactly two points")
         return
-    try:
-        if not is_pseudomanifold(k):
-            raise BadInput("input is not a pseudomanifold")
-    except DimensionTooLow as exc:  # pragma: no cover - dim 0 handled above
-        raise BadInput(str(exc))
+    if not is_pseudomanifold(k):
+        raise BadInput("input is not a pseudomanifold")
     expected = 1 + (-1) ** k.dim
     chi = euler_characteristic(k)
     if chi != expected:
@@ -97,28 +95,44 @@ def _check_sphere_candidate(k: Complex) -> None:
         )
 
 
-def _cost(k: Complex) -> tuple:
-    return (len(k.support),) + tuple(reversed(f_vector(k)))
+def _cost(f: tuple) -> tuple:
+    """Vertex count, then face counts from the top dimension down."""
+    return (f[0],) + tuple(reversed(f))
 
 
-def _greedy_vertex_removals(current, trail, allowed, counter):
+def _f_vector_after(f: tuple, move) -> tuple:
+    """The f-vector after ``move``, in closed form: the faces ``sigma ∪ r``
+    (``r`` a proper subset of ``tau``) give way to ``tau ∪ r`` (``r`` a
+    proper subset of ``sigma``).  Subsets are proper because a face has at
+    most ``dim + 1 < len(sigma) + len(tau)`` vertices."""
+    s, t = len(move.sigma), len(move.tau)
+    return tuple(
+        fe + (math.comb(s, e + 1 - t) if e + 1 >= t else 0)
+        - (math.comb(t, e + 1 - s) if e + 1 >= s else 0)
+        for e, fe in enumerate(f)
+    )
+
+
+def _greedy_vertex_removals(current, f, trail, allowed, counter):
     """Apply vertex-removing moves (type = dim) until none applies."""
     top = current.dim
     if top not in allowed:
-        return current
+        return current, f
     while True:
         candidates = enumerate_moves(current, {top})
         if not candidates:
-            return current
+            return current, f
         counter[0] += 1
-        current = apply_move(current, candidates[0])
-        trail.append(candidates[0])
+        move = candidates[0]
+        current = _rewrite(current, move.sigma, move.tau)
+        f = _f_vector_after(f, move)
+        trail.append(move)
 
 
 def _single_search(k, allowed, schedule, max_steps, rng, counter):
     trail = []
-    current = _greedy_vertex_removals(k, trail, allowed, counter)
-    best = (_cost(current), list(trail), current)
+    current, f = _greedy_vertex_removals(k, f_vector(k), trail, allowed, counter)
+    best = (_cost(f), list(trail), current)
     for step in range(max_steps):
         if is_boundary_of_simplex(current):
             return trail, current, True, best
@@ -127,17 +141,18 @@ def _single_search(k, allowed, schedule, max_steps, rng, counter):
             break
         counter[0] += 1
         move = rng.choice(candidates)
-        proposed = apply_move(current, move)
-        worse = _cost(proposed) > _cost(current)
-        if worse:
+        proposed = _f_vector_after(f, move)
+        if _cost(proposed) > _cost(f):
             t = schedule.temperature(step)
             if t <= 0 or rng.random() >= math.exp(-1.0 / t):
                 continue
-        current = proposed
+        current = _rewrite(current, move.sigma, move.tau)
         trail.append(move)
-        current = _greedy_vertex_removals(current, trail, allowed, counter)
-        if _cost(current) < best[0]:
-            best = (_cost(current), list(trail), current)
+        current, f = _greedy_vertex_removals(
+            current, proposed, trail, allowed, counter
+        )
+        if _cost(f) < best[0]:
+            best = (_cost(f), list(trail), current)
     succeeded = is_boundary_of_simplex(current)
     return trail, current, succeeded, best
 

@@ -116,6 +116,16 @@ def test_reduce_rejects_bad_input(capsys, tmp_path):
     assert json.loads(err)["code"] == "BadInput"
 
 
+def test_reduce_rejects_negative_dimension(capsys, tmp_path):
+    kpath = write_json(tmp_path / "k.json", {"dim": -1, "facets": [[]]})
+    code, out, err = run(capsys, ["reduce", kpath])
+    assert code == 2
+    assert out == ""
+    diagnostic = json.loads(err)
+    assert diagnostic["code"] == "BadInput"
+    assert "dimension >= 0" in diagnostic["message"]
+
+
 def test_certify_and_verify_round_trip(capsys, tmp_path):
     ppath = write_json(
         tmp_path / "prism.json", polytope_to_doc(fc.named_polytope("prism"))

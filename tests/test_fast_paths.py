@@ -1,0 +1,122 @@
+"""Differential tests: each fast path of the search against the plain
+reference path it replaces.
+
+- ``enumerate_moves`` (vertex-star bitmasks) against ``is_applicable`` on
+  every face from ``faces_of_dimension``;
+- the search's closed-form f-vector update against ``f_vector`` of the
+  rewritten complex;
+- the search's unchecked ``_rewrite`` against the validating ``apply_move``.
+
+States come from random walks, in dimensions 1-5 and in both search modes,
+driven by the reference enumeration so the walk never trusts the code it
+checks.
+"""
+
+import random
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+import flipcert as fc
+from flipcert.complexes import faces_of_dimension
+from flipcert.moves import _rewrite
+from flipcert.reduction import _f_vector_after
+
+
+def reference_moves(k, allowed_types):
+    out = []
+    for i in sorted(set(allowed_types)):
+        for sigma in faces_of_dimension(k, k.dim - i):
+            m = fc.is_applicable(k, sigma)
+            if m is not None:
+                out.append(m)
+    return out
+
+
+def relabel(k, seed):
+    """The same complex on large, non-contiguous ids in shuffled order."""
+    rng = random.Random(seed)
+    support = sorted(k.support)
+    labels = rng.sample(range(10**6, 10**6 + 50 * len(support)), len(support))
+    mapping = dict(zip(support, labels))
+    return fc.new_complex(k.dim, [[mapping[v] for v in f] for f in k.facets])
+
+
+@st.composite
+def walk_states(draw):
+    """(complex, allowed types): a short random walk from a simplex or cube
+    dual, strict (types 1..dim) or free (types 0..dim), maybe relabelled."""
+    dim = draw(st.integers(1, 5))
+    shape = draw(st.sampled_from(("simplex", "cube")))
+    mode = draw(st.sampled_from(("strict", "free")))
+    k = fc.dual_complex(fc.named_polytope(f"{shape}-{dim + 1}")).complex
+    types = set(range(1 if mode == "strict" else 0, dim + 1))
+    for choice in draw(st.lists(st.integers(0, 2**16), max_size=8)):
+        candidates = reference_moves(k, types)
+        if not candidates:
+            break
+        k = fc.apply_move(k, candidates[choice % len(candidates)])
+    if draw(st.booleans()):
+        k = relabel(k, draw(st.integers(0, 2**16)))
+    return k, types
+
+
+FAST = settings(
+    max_examples=40, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+NON_PSEUDOMANIFOLDS = {
+    "tetrahedron boundary minus a facet": (2, [[0, 1, 2], [0, 1, 3], [0, 2, 3]]),
+    "two disjoint triangles": (2, [[0, 1, 2], [3, 4, 5]]),
+    "two triangles on an edge": (2, [[0, 1, 2], [0, 2, 3]]),
+    "three triangles at a vertex": (2, [[0, 1, 2], [0, 3, 4], [0, 5, 6]]),
+    "two disjoint triangle cycles": (
+        1, [[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5]],
+    ),
+}
+
+
+@FAST
+@given(walk_states())
+def test_enumeration_matches_reference(state):
+    k, types = state
+    assert fc.enumerate_moves(k, types) == reference_moves(k, types)
+    # greedy vertex removal asks for the top type alone
+    assert fc.enumerate_moves(k, {k.dim}) == reference_moves(k, {k.dim})
+
+
+@pytest.mark.parametrize("name", sorted(NON_PSEUDOMANIFOLDS))
+def test_enumeration_matches_reference_off_pseudomanifolds(name):
+    dim, facets = NON_PSEUDOMANIFOLDS[name]
+    for k in (fc.new_complex(dim, facets),
+              relabel(fc.new_complex(dim, facets), 3)):
+        for low in range(dim + 1):
+            types = set(range(low, dim + 1))
+            assert fc.enumerate_moves(k, types) == reference_moves(k, types)
+
+
+def test_enumeration_matches_reference_on_large_ids():
+    k = relabel(fc.dual_complex(fc.named_polytope("cube-4")).complex, 11)
+    assert min(k.support) >= 10**6
+    types = set(range(k.dim + 1))
+    found = fc.enumerate_moves(k, types)
+    assert found == reference_moves(k, types)
+    assert any(m.move_type > 0 for m in found)
+
+
+@FAST
+@given(walk_states())
+def test_closed_form_f_vector_matches_recount(state):
+    k, _ = state
+    f = fc.f_vector(k)
+    for m in fc.enumerate_moves(k, set(range(k.dim + 1))):  # type 0 too
+        assert _f_vector_after(f, m) == fc.f_vector(fc.apply_move(k, m))
+
+
+@FAST
+@given(walk_states())
+def test_rewrite_matches_apply_move(state):
+    k, _ = state
+    for m in fc.enumerate_moves(k, set(range(k.dim + 1))):
+        assert _rewrite(k, m.sigma, m.tau) == fc.apply_move(k, m)

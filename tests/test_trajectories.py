@@ -19,6 +19,7 @@ GOLDEN = {
     "prism": (1, 1, "sha256:723b58cdcddb7274a2c4953929f140ea87db0056bb14d15c6bb6616118d0d63a"),
     "dodecahedron": (19, 19, "sha256:dabd89cb23c4bbd314eccc42fd80b15f3ef7fda4800bc76ba4169f5768846627"),
     "cube-5": (76, 89, "sha256:7568e39dd667820df9ccb8be3784ba229d0b307e61ba0f5f3a001f1b9cd4d83a"),
+    "cube-6": (417, 816, "sha256:7e85eaececa483e6abfd042e8eedb6dde04f22e288e5f7b33ca29def5a8bac5f"),
     "prism x prism": (75, 139, "sha256:ea76573a8c6c2993b16bd962bfdefd412d7523002a806af17bff797f0001cb91"),
 }
 
