@@ -11,7 +11,7 @@ fabricated certificate.
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .complexes import (
@@ -47,23 +47,10 @@ class SearchExhausted(FlipcertError):
 
 
 @dataclass(frozen=True)
-class AnnealingSchedule:
-    initial_temperature: float = 1.0
-    cooling_factor: float = 0.99
-    steps_per_temperature: int = 50
-
-    def temperature(self, step: int) -> float:
-        return self.initial_temperature * (
-            self.cooling_factor ** (step // self.steps_per_temperature)
-        )
-
-
-@dataclass(frozen=True)
 class ReductionOptions:
     mode: str = "strict"  # "strict" forbids type-0 moves, "free" allows all
     max_steps: int = 100_000
     rng_seed: int = 0
-    annealing: AnnealingSchedule = field(default_factory=AnnealingSchedule)
     restarts: int = 8
 
 
@@ -129,7 +116,7 @@ def _greedy_vertex_removals(current, f, trail, allowed, counter):
         trail.append(move)
 
 
-def _single_search(k, allowed, schedule, max_steps, rng, counter):
+def _single_search(k, allowed, max_steps, rng, counter):
     trail = []
     current, f = _greedy_vertex_removals(k, f_vector(k), trail, allowed, counter)
     best = (_cost(f), list(trail), current)
@@ -143,7 +130,9 @@ def _single_search(k, allowed, schedule, max_steps, rng, counter):
         move = rng.choice(candidates)
         proposed = _f_vector_after(f, move)
         if _cost(proposed) > _cost(f):
-            t = schedule.temperature(step)
+            t = 0.99 ** (step // 50)
+            # t underflows to 0.0 after about 3.7M steps, within reach of
+            # --max-steps, and exp(-1/t) would then divide by zero
             if t <= 0 or rng.random() >= math.exp(-1.0 / t):
                 continue
         current = _rewrite(current, move.sigma, move.tau)
@@ -168,11 +157,7 @@ def reduce_to_simplex(k: Complex, opts: ReductionOptions = None) -> ReductionRes
         opts = ReductionOptions()
     if opts.mode not in ("strict", "free"):
         raise BadInput(f"unknown mode {opts.mode!r}")
-    schedule = opts.annealing
-    if (opts.max_steps < 0 or opts.restarts < 1
-            or schedule.initial_temperature <= 0
-            or not 0 < schedule.cooling_factor < 1
-            or schedule.steps_per_temperature < 1):
+    if opts.max_steps < 0 or opts.restarts < 1:
         raise BadInput("invalid search options")
     _check_sphere_candidate(k)
     lowest = 1 if opts.mode == "strict" else 0
@@ -184,7 +169,7 @@ def reduce_to_simplex(k: Complex, opts: ReductionOptions = None) -> ReductionRes
     for restart in range(opts.restarts):
         rng = random.Random(opts.rng_seed + restart)
         trail, final, succeeded, best = _single_search(
-            k, allowed, schedule, opts.max_steps, rng, counter
+            k, allowed, opts.max_steps, rng, counter
         )
         if succeeded:
             return ReductionResult(tuple(trail), final, True, counter[0])
@@ -194,14 +179,23 @@ def reduce_to_simplex(k: Complex, opts: ReductionOptions = None) -> ReductionRes
     return ReductionResult(tuple(best_trail), best_final, False, counter[0])
 
 
-def replay(k: Complex, moves) -> Complex:
-    """Apply a recorded move sequence, reporting the first failing index."""
+def replay_states(k: Complex, moves):
+    """Yield each complex a recorded move sequence reaches, in order; the
+    first move that does not apply raises ``ReplayFailure`` with its index."""
     current = k
     for index, move in enumerate(moves):
         try:
             current = apply_move(current, move)
         except FlipcertError as exc:
             raise ReplayFailure(index, exc)
+        yield current
+
+
+def replay(k: Complex, moves) -> Complex:
+    """Apply a recorded move sequence, reporting the first failing index."""
+    current = k
+    for current in replay_states(k, moves):
+        pass
     return current
 
 

@@ -15,10 +15,10 @@ from typing import Optional
 
 from .complexes import f_vector, is_boundary_of_simplex
 from .errors import FlipcertError, InputError
-from .moves import Move, inverse_move
+from .moves import inverse_move
 from .polytopes import DualComplexMap, SimplePolytope, dual_complex
 from .quasitoric import CharacteristicPair, ShapeMismatch, check_freeness
-from .reduction import ReductionResult, ReplayFailure, replay
+from .reduction import ReductionResult, ReplayFailure, replay_states
 from .serialize import (
     complex_digest,
     move_from_doc,
@@ -83,9 +83,6 @@ class SurgeryStep:
     torus_rank_delta: int
     post_f_vector: tuple
 
-    def as_move(self) -> Move:
-        return Move(self.sigma, self.tau, self.construction_type)
-
 
 @dataclass(frozen=True)
 class BaseStage:
@@ -127,23 +124,23 @@ def build_ledger(dual: DualComplexMap, result: ReductionResult) -> SurgeryCertif
     construction_moves = [inverse_move(m) for m in reversed(result.moves)]
     steps = []
     current = result.final
-    for index, move in enumerate(construction_moves):
-        try:
-            current = replay(current, [move])
-        except ReplayFailure as exc:
-            raise NotReduced(
-                f"construction step {index} does not replay: {exc.reason}"
-            )
-        i = move.move_type
-        steps.append(SurgeryStep(
-            index=index,
-            construction_type=i,
-            sigma=move.sigma,
-            tau=move.tau,
-            codimension=codimension_for(n, i),
-            torus_rank_delta=1 if i == 0 else 0,
-            post_f_vector=f_vector(current),
-        ))
+    states = replay_states(current, construction_moves)
+    try:
+        for index, (move, current) in enumerate(zip(construction_moves, states)):
+            i = move.move_type
+            steps.append(SurgeryStep(
+                index=index,
+                construction_type=i,
+                sigma=move.sigma,
+                tau=move.tau,
+                codimension=codimension_for(n, i),
+                torus_rank_delta=1 if i == 0 else 0,
+                post_f_vector=f_vector(current),
+            ))
+    except ReplayFailure as exc:
+        raise NotReduced(
+            f"construction step {exc.index} does not replay: {exc.reason}"
+        )
     # moves are exact inverses, so this also proves the forward replay
     if current != dual.complex:
         raise NotReduced("construction replay does not return to the dual complex")
@@ -193,9 +190,12 @@ def verify_certificate(cert: SurgeryCertificate) -> VerificationReport:
     """Recompute every claim of an untrusted certificate.
 
     Nothing recorded in the certificate is taken at face value: the dual
-    complex and its hash, both replay directions, every codimension, the
-    torus accounting and the verified flag are all rebuilt from the polytope
-    and the move list and compared against the stored values.
+    complex and its hash, the reduction replay, every post f-vector, every
+    codimension, the torus accounting and the verified flag are all rebuilt
+    from the polytope and the move list and compared against the stored
+    values.  One forward replay yields every post f-vector: once the steps
+    mirror the moves, step ``k`` undoes reduction move ``L-1-k`` exactly, so
+    it ends on the complex that move starts from.
     """
     checks = []
 
@@ -213,8 +213,12 @@ def verify_certificate(cert: SurgeryCertificate) -> VerificationReport:
     )
 
     reduction_ok = False
+    pre_f_vectors = []  # of the complex each reduction move starts from
     try:
-        endpoint = replay(dual.complex, cert.reduction_moves)
+        endpoint = dual.complex
+        for state in replay_states(dual.complex, cert.reduction_moves):
+            pre_f_vectors.append(f_vector(endpoint))
+            endpoint = state
         reduction_ok = is_boundary_of_simplex(endpoint)
         check(
             "reduction-replay",
@@ -256,19 +260,12 @@ def verify_certificate(cert: SurgeryCertificate) -> VerificationReport:
 
     construction_ok = False
     if reduction_ok and mirror_ok:
-        try:
-            current = endpoint
-            detail = ""
-            for step in cert.steps:
-                current = replay(current, [step.as_move()])
-                if f_vector(current) != tuple(step.post_f_vector):
-                    detail = f"post f-vector mismatch at step {step.index}"
-                    break
-            if not detail and current != dual.complex:
-                detail = "construction replay does not end at the dual complex"
-            construction_ok = check("construction-replay", not detail, detail)
-        except ReplayFailure as exc:
-            check("construction-replay", False, str(exc))
+        detail = ""
+        for step, expected in zip(cert.steps, reversed(pre_f_vectors)):
+            if expected != tuple(step.post_f_vector):
+                detail = f"post f-vector mismatch at step {step.index}"
+                break
+        construction_ok = check("construction-replay", not detail, detail)
     else:
         check(
             "construction-replay", False,

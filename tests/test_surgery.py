@@ -7,6 +7,7 @@ from flipcert.errors import InputError
 from flipcert.moves import Move
 from flipcert.quasitoric import CharacteristicPair, ShapeMismatch
 from flipcert.reduction import ReductionResult
+from flipcert.serialize import digest
 from flipcert.surgery import (
     CITATIONS,
     FreenessFailed,
@@ -18,6 +19,7 @@ from flipcert.surgery import (
     certificate_to_doc,
     codimension_for,
     psc_statement,
+    report_to_doc,
     verify_certificate,
 )
 
@@ -156,6 +158,44 @@ def test_mutation_fuzz_smoke(corpus_certs):
         report = verify_certificate(parsed)
         assert not report.established, label
         assert report.failures(), label
+
+
+#: Digest of every parsed mutant's report in the exhaustive sweep below, in
+#: corpus and site order: any change to a check's outcome or detail string on
+#: any mutant changes it.
+SWEEP_DIGEST = "sha256:b98f674c69604fe527af52277e7ffa6394e2680e8c234fdc618f7f06e25c0163"
+
+
+def test_exhaustive_mutation_sweep(corpus_certs):
+    sites = 0
+    reports = []
+    for name, (_, _, cert) in corpus_certs.items():
+        doc = certificate_to_doc(cert)
+        for label, mutate in certificate_mutation_sites(doc):
+            sites += 1
+            try:
+                parsed = certificate_from_doc(mutate(doc))
+            except (MalformedCertificate, InputError):
+                continue
+            report = verify_certificate(parsed)
+            assert not report.established, (name, label)
+            assert report.failures(), (name, label)
+            reports.append([name, label, report_to_doc(report)])
+    assert (sites, len(reports)) == (704, 523)
+    assert digest(reports) == SWEEP_DIGEST
+
+
+def test_empty_chain_never_counts_faces(monkeypatch):
+    # f_vector is exponential in the dimension: on simplex-22 it would hang
+    def refuse(k):
+        raise AssertionError("f_vector called on an empty chain")
+
+    dual = fc.dual_complex(fc.simplex_polytope(22))
+    result = ReductionResult((), dual.complex, True, 0)
+    monkeypatch.setattr("flipcert.surgery.f_vector", refuse)
+    cert = build_ledger(dual, result)
+    assert cert.steps == ()
+    assert verify_certificate(cert).established
 
 
 def test_psc_statement_for_simplex_names_projective_quotient(corpus_certs):
