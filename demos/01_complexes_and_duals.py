@@ -20,6 +20,6 @@ for name, polytope in fc.corpus().items():
 prism = fc.product(fc.simplex_polytope(2), fc.simplex_polytope(1))
 triangle_dual = fc.dual_complex(fc.simplex_polytope(2)).complex
 segment_dual = fc.dual_complex(fc.simplex_polytope(1)).complex
-shifted = fc.new_complex(0, [(v + 3,) for f in segment_dual.facets for v in f])
+shifted = fc.Complex(0, [(v + 3,) for f in segment_dual.facets for v in f])
 print("\nprism dual equals join of factor duals:",
       fc.dual_complex(prism).complex == fc.join(triangle_dual, shifted))

@@ -10,7 +10,7 @@ already contain; the rewrite swaps sigma * boundary(tau) for boundary(sigma)
 import flipcert as fc
 from flipcert.moves import Move
 
-bipyramid = fc.new_complex(2, [
+bipyramid = fc.Complex(2, [
     [0, 1, 4], [1, 2, 4], [0, 2, 4], [0, 1, 5], [1, 2, 5], [0, 2, 5],
 ])
 print("start:", bipyramid.facets)

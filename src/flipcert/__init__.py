@@ -11,9 +11,8 @@ from .complexes import (
     is_pseudomanifold,
     join,
     link,
-    new_complex,
 )
-from .moves import Move, apply_move, enumerate_moves, inverse_move, is_applicable, move_type_of
+from .moves import Move, apply_move, enumerate_moves, inverse_move, is_applicable
 from .polytopes import (
     DualComplexMap,
     SimplePolytope,
@@ -72,9 +71,7 @@ __all__ = [
     "is_pseudomanifold",
     "join",
     "link",
-    "move_type_of",
     "named_polytope",
-    "new_complex",
     "product",
     "psc_statement",
     "quotient_descriptor",

@@ -107,11 +107,6 @@ def empty_facet_complex() -> Complex:
     return Complex(-1, [()])
 
 
-def new_complex(dim: int, facets) -> Complex:
-    """Build a pure complex of the given dimension from facet vertex lists."""
-    return Complex(dim, facets)
-
-
 def has_face(k: Complex, s) -> bool:
     """True iff ``s`` is contained in some facet of ``k``.
 

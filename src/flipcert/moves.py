@@ -50,17 +50,9 @@ class Move:
         return f"Move(type={self.move_type}, sigma={self.sigma}, tau={self.tau})"
 
 
-def move_type_of(k: Complex, sigma) -> int:
-    """The move type a face would have: ``k.dim - dim(sigma)``."""
-    sigma = as_simplex(sigma)
-    if not has_face(k, sigma):
-        raise NotAFace(f"{sigma} is not a face")
-    return k.dim - (len(sigma) - 1)
-
-
 def fresh_vertex(k: Complex) -> int:
     """Canonical fresh vertex id for type-0 moves: max support id + 1."""
-    return max(k.support) + 1
+    return max(k.support, default=-1) + 1
 
 
 def is_applicable(k: Complex, sigma) -> Optional[Move]:
@@ -95,7 +87,9 @@ def apply_move(k: Complex, m: Move) -> Complex:
     """
     sigma = as_simplex(m.sigma)
     tau = as_simplex(m.tau)
-    if not has_face(k, sigma):
+    try:
+        detected = is_applicable(k, sigma)
+    except NotAFace:
         raise NotApplicable(f"sigma {sigma} is not a face")
     i = k.dim - (len(sigma) - 1)
     if m.move_type != i:
@@ -107,14 +101,10 @@ def apply_move(k: Complex, m: Move) -> Complex:
             raise NotApplicable(f"type-0 tau must be a single vertex, got {tau}")
         if tau[0] in k.support:
             raise TauNotFresh(f"vertex {tau[0]} already in the support")
-    else:
-        detected = is_applicable(k, sigma)
-        if detected is None:
-            raise NotApplicable(
-                f"link of {sigma} is not a usable simplex boundary"
-            )
-        if detected.tau != tau:
-            raise StaleTau(f"expected tau {detected.tau}, got {tau}")
+    elif detected is None:
+        raise NotApplicable(f"link of {sigma} is not a usable simplex boundary")
+    elif detected.tau != tau:
+        raise StaleTau(f"expected tau {detected.tau}, got {tau}")
     return _rewrite(k, sigma, tau)
 
 

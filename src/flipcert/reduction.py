@@ -16,7 +16,6 @@ from typing import Optional
 
 from .complexes import (
     Complex,
-    euler_characteristic,
     f_vector,
     is_boundary_of_simplex,
     is_pseudomanifold,
@@ -62,7 +61,8 @@ class ReductionResult:
     steps_examined: int
 
 
-def _check_sphere_candidate(k: Complex) -> None:
+def _check_sphere_candidate(k: Complex) -> tuple:
+    """Reject what cannot be a sphere; return the f-vector, counted once."""
     if k.dim < 0:
         raise BadInput("a sphere needs dimension >= 0")
     if k.dim == 0:
@@ -70,16 +70,18 @@ def _check_sphere_candidate(k: Complex) -> None:
         # point pair, which is already a simplex boundary.
         if len(k.support) != 2:
             raise BadInput("a 0-dimensional sphere must be exactly two points")
-        return
+        return (2,)
     if not is_pseudomanifold(k):
         raise BadInput("input is not a pseudomanifold")
     expected = 1 + (-1) ** k.dim
-    chi = euler_characteristic(k)
+    f = f_vector(k)
+    chi = sum((-1) ** d * fd for d, fd in enumerate(f))
     if chi != expected:
         raise BadInput(
             f"Euler characteristic {chi} does not match "
             f"a {k.dim}-sphere ({expected})"
         )
+    return f
 
 
 def _cost(f: tuple) -> tuple:
@@ -87,7 +89,7 @@ def _cost(f: tuple) -> tuple:
     return (f[0],) + tuple(reversed(f))
 
 
-def _f_vector_after(f: tuple, move) -> tuple:
+def f_vector_after(f: tuple, move) -> tuple:
     """The f-vector after ``move``, in closed form: the faces ``sigma ∪ r``
     (``r`` a proper subset of ``tau``) give way to ``tau ∪ r`` (``r`` a
     proper subset of ``sigma``).  Subsets are proper because a face has at
@@ -112,13 +114,13 @@ def _greedy_vertex_removals(current, f, trail, allowed, counter):
         counter[0] += 1
         move = candidates[0]
         current = _rewrite(current, move.sigma, move.tau)
-        f = _f_vector_after(f, move)
+        f = f_vector_after(f, move)
         trail.append(move)
 
 
-def _single_search(k, allowed, max_steps, rng, counter):
+def _single_search(k, f, allowed, max_steps, rng, counter):
     trail = []
-    current, f = _greedy_vertex_removals(k, f_vector(k), trail, allowed, counter)
+    current, f = _greedy_vertex_removals(k, f, trail, allowed, counter)
     best = (_cost(f), list(trail), current)
     for step in range(max_steps):
         if is_boundary_of_simplex(current):
@@ -128,7 +130,7 @@ def _single_search(k, allowed, max_steps, rng, counter):
             break
         counter[0] += 1
         move = rng.choice(candidates)
-        proposed = _f_vector_after(f, move)
+        proposed = f_vector_after(f, move)
         if _cost(proposed) > _cost(f):
             t = 0.99 ** (step // 50)
             # t underflows to 0.0 after about 3.7M steps, within reach of
@@ -159,7 +161,7 @@ def reduce_to_simplex(k: Complex, opts: ReductionOptions = None) -> ReductionRes
         raise BadInput(f"unknown mode {opts.mode!r}")
     if opts.max_steps < 0 or opts.restarts < 1:
         raise BadInput("invalid search options")
-    _check_sphere_candidate(k)
+    f = _check_sphere_candidate(k)
     lowest = 1 if opts.mode == "strict" else 0
     allowed = set(range(lowest, k.dim + 1))
     counter = [0]
@@ -169,7 +171,7 @@ def reduce_to_simplex(k: Complex, opts: ReductionOptions = None) -> ReductionRes
     for restart in range(opts.restarts):
         rng = random.Random(opts.rng_seed + restart)
         trail, final, succeeded, best = _single_search(
-            k, allowed, opts.max_steps, rng, counter
+            k, f, allowed, opts.max_steps, rng, counter
         )
         if succeeded:
             return ReductionResult(tuple(trail), final, True, counter[0])

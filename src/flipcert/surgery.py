@@ -6,19 +6,28 @@ simplex, a sphere of dimension 2n+1, every construction move of type ``i``
 acts as an equivariant surgery of codimension ``2n - 2i`` (equivalently
 ``2 + 2j`` for the reduction type ``j = n-1-i``), with type-0 moves each
 contributing one extra circle factor to the ambient torus.  A certificate
-records that chain with exact codimensions; verification recomputes every
-claim from scratch and never trusts the stored flags.
+records that chain with exact codimensions.  The ledger checks the moves by
+one forward replay and takes its f-vectors from the search's closed form;
+verification recomputes every claim from scratch, recounting faces, and
+never trusts the stored flags.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional
 
 from .complexes import f_vector, is_boundary_of_simplex
 from .errors import FlipcertError, InputError
 from .moves import inverse_move
 from .polytopes import DualComplexMap, SimplePolytope, dual_complex
-from .quasitoric import CharacteristicPair, ShapeMismatch, check_freeness
-from .reduction import ReductionResult, ReplayFailure, replay_states
+from .quasitoric import CharacteristicPair, ShapeMismatch, quotient_descriptor
+from .reduction import (
+    ReductionResult,
+    ReplayFailure,
+    f_vector_after,
+    replay,
+    replay_states,
+)
 from .serialize import (
     complex_digest,
     move_from_doc,
@@ -38,10 +47,6 @@ class MalformedCertificate(InputError):
 
 
 class NotVerified(FlipcertError):
-    pass
-
-
-class FreenessFailed(FlipcertError):
     pass
 
 
@@ -110,53 +115,51 @@ def codimension_for(n: int, construction_type: int) -> int:
 
 def build_ledger(dual: DualComplexMap, result: ReductionResult) -> SurgeryCertificate:
     """Translate a successful reduction into the construction-direction
-    surgery chain, replaying it to pin down every intermediate f-vector.
+    surgery chain.
 
+    One forward replay from the dual checks the moves and must end on
+    ``result.final``.  Step ``k`` undoes reduction move ``L-1-k``, so its
+    post f-vector is that of the complex the move starts from, taken from
+    the search's closed form; only :func:`verify_certificate` recounts faces.
     The base stage is the moment-angle manifold of the simplex (a sphere of
     dimension 2n+1) times one circle per construction-type-0 step.
     """
     if not result.succeeded or not is_boundary_of_simplex(result.final):
         raise NotReduced("the reduction did not reach a simplex boundary")
-    # inverse_move drops the declared type, so the replay below cannot see it
-    if any(m.move_type != len(m.tau) - 1 for m in result.moves):
-        raise NotReduced("a recorded move declares the wrong type")
-    n = dual.polytope.dim
-    construction_moves = [inverse_move(m) for m in reversed(result.moves)]
-    steps = []
-    current = result.final
-    states = replay_states(current, construction_moves)
     try:
-        for index, (move, current) in enumerate(zip(construction_moves, states)):
-            i = move.move_type
-            steps.append(SurgeryStep(
-                index=index,
-                construction_type=i,
-                sigma=move.sigma,
-                tau=move.tau,
-                codimension=codimension_for(n, i),
-                torus_rank_delta=1 if i == 0 else 0,
-                post_f_vector=f_vector(current),
-            ))
+        endpoint = replay(dual.complex, result.moves)
     except ReplayFailure as exc:
-        raise NotReduced(
-            f"construction step {exc.index} does not replay: {exc.reason}"
-        )
-    # moves are exact inverses, so this also proves the forward replay
-    if current != dual.complex:
-        raise NotReduced("construction replay does not return to the dual complex")
-    extra_circles = sum(s.torus_rank_delta for s in steps)
+        raise NotReduced(f"reduction move {exc.index} does not replay: {exc.reason}")
+    if endpoint != result.final:
+        raise NotReduced("the reduction moves do not reach the recorded final complex")
+    n = dual.polytope.dim
+    pre_f_vectors = ()  # of the complex each reduction move starts from
+    if result.moves:
+        pre_f_vectors = tuple(accumulate(
+            result.moves[:-1], f_vector_after, initial=f_vector(dual.complex)
+        ))
+    steps = []
+    for index, move in enumerate(map(inverse_move, reversed(result.moves))):
+        i = move.move_type
+        steps.append(SurgeryStep(
+            index=index,
+            construction_type=i,
+            sigma=move.sigma,
+            tau=move.tau,
+            codimension=codimension_for(n, i),
+            torus_rank_delta=1 if i == 0 else 0,
+            post_f_vector=pre_f_vectors[-1 - index],
+        ))
     codims = [s.codimension for s in steps]
-    min_codim = min(codims) if codims else None
-    verified = all(c >= CODIMENSION_THRESHOLD for c in codims)
     return SurgeryCertificate(
         polytope=dual.polytope,
         dual_hash=complex_digest(dual.complex),
         reduction_moves=tuple(result.moves),
         steps=tuple(steps),
-        base_stage=BaseStage(2 * n + 1, extra_circles),
-        min_codimension=min_codim,
+        base_stage=BaseStage(2 * n + 1, sum(s.torus_rank_delta for s in steps)),
+        min_codimension=min(codims, default=None),
         citations=CITATIONS,
-        verified=verified,
+        verified=all(c >= CODIMENSION_THRESHOLD for c in codims),
     )
 
 
@@ -380,30 +383,22 @@ def psc_statement(cert: SurgeryCertificate,
             raise ShapeMismatch(
                 "characteristic pair is defined over a different polytope"
             )
-        report = check_freeness(pair)
-        if not report.ok:
-            raise FreenessFailed(
-                f"subtorus does not act freely; failing vertices "
-                f"{[v for v, _ in report.failing_vertices]}"
-            )
-        if m == n + 1:
+        quotient = quotient_descriptor(pair)  # raises NotFree
+        del quotient["moment_angle_dim"]  # the statement carries it itself
+        rank, dim = quotient["quotient_torus_rank"], quotient["manifold_dim"]
+        if rank == 1:
             description = (
                 f"complex-projective-type quotient S^{sphere_dim}/S^1 "
-                f"of dimension {2 * n}"
+                f"of dimension {dim}"
             )
         else:
             description = (
                 f"quotient of the moment-angle manifold by a freely acting "
-                f"rank-{m - n} subtorus, of dimension {2 * n}"
+                f"rank-{rank} subtorus, of dimension {dim}"
             )
-        quotient = {
-            "description": description,
-            "manifold_dim": 2 * n,
-            "torus_action_rank": n,
-            "quotient_torus_rank": m - n,
-        }
+        quotient["description"] = description
         clauses.append((
-            f"the rank-{m - n} subtorus encoded by the characteristic matrix "
+            f"the rank-{rank} subtorus encoded by the characteristic matrix "
             f"acts freely (every vertex minor has determinant +-1), so the "
             f"{description} inherits an invariant metric of positive scalar "
             f"curvature",

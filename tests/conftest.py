@@ -48,17 +48,37 @@ def leibniz_det(matrix):
     return total
 
 
+def count_f_vector_calls(monkeypatch):
+    """Route every module's ``f_vector`` through a counter; returns the list
+    of complexes it was called on."""
+    import sys
+
+    from flipcert import complexes
+
+    original = complexes.f_vector
+    calls = []
+
+    def counted(k):
+        calls.append(k)
+        return original(k)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("flipcert") and getattr(module, "f_vector", None) is original:
+            monkeypatch.setattr(module, "f_vector", counted)
+    return calls
+
+
 B5_FACETS = [[0, 1, 4], [1, 2, 4], [0, 2, 4], [0, 1, 5], [1, 2, 5], [0, 2, 5]]
 
 
 @pytest.fixture
 def delta3():
-    return fc.new_complex(2, [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
+    return fc.Complex(2, [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
 
 
 @pytest.fixture
 def b5():
-    return fc.new_complex(2, B5_FACETS)
+    return fc.Complex(2, B5_FACETS)
 
 
 @pytest.fixture

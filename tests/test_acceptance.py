@@ -46,8 +46,8 @@ def criterion(num, description):
 @criterion(1, "definition fidelity: worked moves exact, 1000 round-trips < 5 s")
 def test_definition_fidelity():
     start = time.perf_counter()
-    delta3 = fc.new_complex(2, [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
-    b5 = fc.new_complex(2, B5_FACETS)
+    delta3 = fc.Complex(2, [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
+    b5 = fc.Complex(2, B5_FACETS)
     grown = fc.apply_move(delta3, Move((0, 1, 2), (4,), 0))
     assert set(grown.facets) == {
         (0, 1, 3), (0, 2, 3), (1, 2, 3), (0, 1, 4), (0, 2, 4), (1, 2, 4),
@@ -93,7 +93,7 @@ def test_ewald_range_strictness(corpus_certs):
 
 @criterion(4, "oracle: B5 distance 1, octahedron distance 3; annealing within 2x")
 def test_oracle_consistency():
-    b5 = fc.new_complex(2, B5_FACETS)
+    b5 = fc.Complex(2, B5_FACETS)
     octa = fc.dual_complex(fc.named_polytope("cube-3")).complex
     assert fc.flip_distance_oracle(b5, {1, 2}, 3) == 1
     assert fc.flip_distance_oracle(octa, {1, 2}, 6) == L_OCT

@@ -44,7 +44,7 @@ def test_build_dual(capsys, tmp_path):
 
 def test_moves_listing(capsys, tmp_path):
     path = write_json(
-        tmp_path / "k.json", complex_to_doc(fc.new_complex(2, B5_FACETS))
+        tmp_path / "k.json", complex_to_doc(fc.Complex(2, B5_FACETS))
     )
     code, out, _ = run(capsys, ["moves", path, "--types", "2"])
     assert code == 0
@@ -55,7 +55,7 @@ def test_moves_listing(capsys, tmp_path):
 
 
 def test_apply_replays_sequence(capsys, tmp_path):
-    b5 = fc.new_complex(2, B5_FACETS)
+    b5 = fc.Complex(2, B5_FACETS)
     kpath = write_json(tmp_path / "k.json", complex_to_doc(b5))
     mpath = write_json(
         tmp_path / "m.json",
@@ -67,8 +67,8 @@ def test_apply_replays_sequence(capsys, tmp_path):
 
 
 def test_apply_detects_stale_start_hash(capsys, tmp_path):
-    b5 = fc.new_complex(2, B5_FACETS)
-    other = fc.new_complex(2, [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
+    b5 = fc.Complex(2, B5_FACETS)
+    other = fc.Complex(2, [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
     kpath = write_json(tmp_path / "k.json", complex_to_doc(other))
     mpath = write_json(
         tmp_path / "m.json", move_sequence_to_doc(b5, [Move((4,), (0, 1, 2), 2)])
@@ -79,7 +79,7 @@ def test_apply_detects_stale_start_hash(capsys, tmp_path):
 
 
 def test_apply_failed_replay_exits_one(capsys, tmp_path):
-    b5 = fc.new_complex(2, B5_FACETS)
+    b5 = fc.Complex(2, B5_FACETS)
     kpath = write_json(tmp_path / "k.json", complex_to_doc(b5))
     mpath = write_json(
         tmp_path / "m.json",
@@ -109,7 +109,7 @@ def test_reduce_outputs_are_byte_identical(capsys, tmp_path):
 
 
 def test_reduce_rejects_bad_input(capsys, tmp_path):
-    broken = fc.new_complex(2, [[0, 1, 2], [0, 1, 3], [0, 2, 3]])
+    broken = fc.Complex(2, [[0, 1, 2], [0, 1, 3], [0, 2, 3]])
     kpath = write_json(tmp_path / "k.json", complex_to_doc(broken))
     code, _, err = run(capsys, ["reduce", kpath])
     assert code == 2
@@ -162,6 +162,16 @@ def test_certify_with_lambda_and_statement(capsys, tmp_path):
     assert len(statement["clauses"]) == 4
 
 
+def test_certify_with_non_free_lambda_exits_one(capsys, tmp_path):
+    polytope = fc.simplex_polytope(2)
+    ppath = write_json(tmp_path / "p.json", polytope_to_doc(polytope))
+    singular = {"rows": 2, "cols": 3, "entries": [[0, 1, 0], [0, 0, 1]]}
+    lpath = write_json(tmp_path / "l.json", singular)
+    code, _, err = run(capsys, ["certify", ppath, "--lambda", lpath])
+    assert code == 1
+    assert json.loads(err)["code"] == "NotFree"
+
+
 def test_check_freeness(capsys, tmp_path):
     pair = fc.cpn_pair(3)
     ppath = write_json(tmp_path / "p.json", polytope_to_doc(pair.polytope))
@@ -202,7 +212,7 @@ def test_undecodable_input_exits_two(capsys, tmp_path, raw):
 @pytest.mark.parametrize("types", ["a", "1,,2"])
 def test_moves_rejects_malformed_types(capsys, tmp_path, types):
     path = write_json(
-        tmp_path / "k.json", complex_to_doc(fc.new_complex(2, B5_FACETS))
+        tmp_path / "k.json", complex_to_doc(fc.Complex(2, B5_FACETS))
     )
     code, out, err = run(capsys, ["moves", path, "--types", types])
     assert code == 2 and out == ""
@@ -237,7 +247,7 @@ def test_unknown_flag_is_rejected(capsys):
 
 
 def test_moves_flags_non_pseudomanifold_input(capsys, tmp_path):
-    broken = fc.new_complex(2, [[0, 1, 2], [0, 1, 3], [0, 2, 3]])
+    broken = fc.Complex(2, [[0, 1, 2], [0, 1, 3], [0, 2, 3]])
     kpath = write_json(tmp_path / "k.json", complex_to_doc(broken))
     code, out, err = run(capsys, ["moves", kpath, "--types", "0"])
     assert code == 0  # mechanically still fine

@@ -18,24 +18,24 @@ from conftest import brute_f_vector, brute_faces
 
 
 def test_new_complex_simplex_boundary():
-    k = fc.new_complex(2, itertools.combinations(range(4), 3))
+    k = fc.Complex(2, itertools.combinations(range(4), 3))
     assert len(k.facets) == 4
     assert k.dim == 2
 
 
 def test_new_complex_triangle():
-    k = fc.new_complex(1, [[0, 1], [1, 2], [0, 2]])
+    k = fc.Complex(1, [[0, 1], [1, 2], [0, 2]])
     assert len(k.facets) == 3
 
 
 def test_new_complex_wrong_facet_size():
     with pytest.raises(WrongFacetSize):
-        fc.new_complex(2, [[0, 1]])
+        fc.Complex(2, [[0, 1]])
 
 
 def test_new_complex_duplicate_vertex():
     with pytest.raises(DuplicateVertexInFacet):
-        fc.new_complex(2, [[0, 1, 1]])
+        fc.Complex(2, [[0, 1, 1]])
 
 
 def test_has_face(delta3, b5):
@@ -49,8 +49,8 @@ def test_has_face(delta3, b5):
 
 def test_link_examples(delta3, b5):
     assert fc.link(b5, (0, 1)).facets == ((4,), (5,))
-    assert fc.link(delta3, (0,)) == fc.new_complex(1, [[1, 2], [1, 3], [2, 3]])
-    assert fc.link(b5, (4,)) == fc.new_complex(1, [[0, 1], [0, 2], [1, 2]])
+    assert fc.link(delta3, (0,)) == fc.Complex(1, [[1, 2], [1, 3], [2, 3]])
+    assert fc.link(b5, (4,)) == fc.Complex(1, [[0, 1], [0, 2], [1, 2]])
 
 
 def test_link_not_a_face(b5):
@@ -63,8 +63,8 @@ def test_link_of_facet_is_join_identity(delta3):
 
 
 def test_join_builds_bipyramid(b5):
-    triangle = fc.new_complex(1, [[0, 1], [1, 2], [0, 2]])
-    two_points = fc.new_complex(0, [[4], [5]])
+    triangle = fc.Complex(1, [[0, 1], [1, 2], [0, 2]])
+    two_points = fc.Complex(0, [[4], [5]])
     assert fc.join(triangle, two_points) == b5
 
 
@@ -74,19 +74,19 @@ def test_join_identity(b5):
 
 
 def test_join_points():
-    edge = fc.join(fc.new_complex(0, [[0]]), fc.new_complex(0, [[1]]))
+    edge = fc.join(fc.Complex(0, [[0]]), fc.Complex(0, [[1]]))
     assert edge.facets == ((0, 1),)
 
 
 def test_join_vertex_clash():
     with pytest.raises(VertexClash):
-        fc.join(fc.new_complex(0, [[0]]), fc.new_complex(0, [[0]]))
+        fc.join(fc.Complex(0, [[0]]), fc.Complex(0, [[0]]))
 
 
 def test_join_associative(b5):
-    a = fc.new_complex(0, [[0], [1]])
-    b = fc.new_complex(0, [[2], [3]])
-    c = fc.new_complex(1, [[4, 5], [5, 6], [4, 6]])
+    a = fc.Complex(0, [[0], [1]])
+    b = fc.Complex(0, [[2], [3]])
+    c = fc.Complex(1, [[4, 5], [5, 6], [4, 6]])
     assert fc.join(fc.join(a, b), c) == fc.join(a, fc.join(b, c))
 
 
@@ -107,11 +107,11 @@ def test_f_vector(delta3, b5, octahedron):
 def test_f_vector_join_convolution(b5):
     # f_d(K*L) = sum over a+b=d-1 of f_a(K) f_b(L), with f_{-1} = 1
     cases = [
-        (fc.new_complex(1, [[0, 1], [1, 2], [0, 2]]), fc.new_complex(0, [[4], [5]])),
-        (fc.new_complex(2, itertools.combinations(range(4), 3)),
-         fc.new_complex(0, [[7], [8]])),
-        (fc.new_complex(1, [[0, 1], [1, 2], [0, 2]]),
-         fc.new_complex(1, [[5, 6], [6, 7], [5, 7]])),
+        (fc.Complex(1, [[0, 1], [1, 2], [0, 2]]), fc.Complex(0, [[4], [5]])),
+        (fc.Complex(2, itertools.combinations(range(4), 3)),
+         fc.Complex(0, [[7], [8]])),
+        (fc.Complex(1, [[0, 1], [1, 2], [0, 2]]),
+         fc.Complex(1, [[5, 6], [6, 7], [5, 7]])),
     ]
     for k, l in cases:
         joined = fc.join(k, l)
@@ -129,24 +129,24 @@ def test_f_vector_join_convolution(b5):
 
 def test_euler_characteristic(delta3, b5):
     assert fc.euler_characteristic(delta3) == 2
-    assert fc.euler_characteristic(fc.new_complex(1, [[0, 1], [1, 2], [0, 2]])) == 0
+    assert fc.euler_characteristic(fc.Complex(1, [[0, 1], [1, 2], [0, 2]])) == 0
     assert fc.euler_characteristic(b5) == 5 - 9 + 6 == 2
 
 
 def test_euler_simplex_boundaries():
     for n in range(1, 9):
-        boundary = fc.new_complex(n - 1, itertools.combinations(range(n + 1), n))
+        boundary = fc.Complex(n - 1, itertools.combinations(range(n + 1), n))
         assert fc.euler_characteristic(boundary) == 1 + (-1) ** (n - 1)
 
 
 def test_is_pseudomanifold(delta3):
     assert fc.is_pseudomanifold(delta3)
-    disjoint = fc.new_complex(1, [[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5]])
+    disjoint = fc.Complex(1, [[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5]])
     assert not fc.is_pseudomanifold(disjoint)
-    broken = fc.new_complex(2, [[0, 1, 2], [0, 1, 3], [0, 2, 3]])
+    broken = fc.Complex(2, [[0, 1, 2], [0, 1, 3], [0, 2, 3]])
     assert not fc.is_pseudomanifold(broken)
     with pytest.raises(DimensionTooLow):
-        fc.is_pseudomanifold(fc.new_complex(0, [[0], [1]]))
+        fc.is_pseudomanifold(fc.Complex(0, [[0], [1]]))
 
 
 def test_is_boundary_of_simplex(delta3, b5, octahedron):

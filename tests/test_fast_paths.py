@@ -5,13 +5,16 @@ reference path it replaces.
   every face from ``faces_of_dimension``;
 - the search's closed-form f-vector update against ``f_vector`` of the
   rewritten complex;
-- the search's unchecked ``_rewrite`` against the validating ``apply_move``.
+- the search's unchecked ``_rewrite`` against the validating ``apply_move``;
+- the ledger's closed-form post f-vectors against ``f_vector`` of each
+  complex the inverse moves reach, replayed backward from the final one.
 
 States come from random walks, in dimensions 1-5 and in both search modes,
 driven by the reference enumeration so the walk never trusts the code it
 checks.
 """
 
+import functools
 import random
 
 import pytest
@@ -20,7 +23,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import flipcert as fc
 from flipcert.complexes import faces_of_dimension
 from flipcert.moves import _rewrite
-from flipcert.reduction import _f_vector_after
+from flipcert.reduction import ReductionOptions, ReductionResult, f_vector_after
+from flipcert.surgery import build_ledger
 
 
 def reference_moves(k, allowed_types):
@@ -39,7 +43,7 @@ def relabel(k, seed):
     support = sorted(k.support)
     labels = rng.sample(range(10**6, 10**6 + 50 * len(support)), len(support))
     mapping = dict(zip(support, labels))
-    return fc.new_complex(k.dim, [[mapping[v] for v in f] for f in k.facets])
+    return fc.Complex(k.dim, [[mapping[v] for v in f] for f in k.facets])
 
 
 @st.composite
@@ -89,8 +93,8 @@ def test_enumeration_matches_reference(state):
 @pytest.mark.parametrize("name", sorted(NON_PSEUDOMANIFOLDS))
 def test_enumeration_matches_reference_off_pseudomanifolds(name):
     dim, facets = NON_PSEUDOMANIFOLDS[name]
-    for k in (fc.new_complex(dim, facets),
-              relabel(fc.new_complex(dim, facets), 3)):
+    for k in (fc.Complex(dim, facets),
+              relabel(fc.Complex(dim, facets), 3)):
         for low in range(dim + 1):
             types = set(range(low, dim + 1))
             assert fc.enumerate_moves(k, types) == reference_moves(k, types)
@@ -111,7 +115,7 @@ def test_closed_form_f_vector_matches_recount(state):
     k, _ = state
     f = fc.f_vector(k)
     for m in fc.enumerate_moves(k, set(range(k.dim + 1))):  # type 0 too
-        assert _f_vector_after(f, m) == fc.f_vector(fc.apply_move(k, m))
+        assert f_vector_after(f, m) == fc.f_vector(fc.apply_move(k, m))
 
 
 @FAST
@@ -120,3 +124,54 @@ def test_rewrite_matches_apply_move(state):
     k, _ = state
     for m in fc.enumerate_moves(k, set(range(k.dim + 1))):
         assert _rewrite(k, m.sigma, m.tau) == fc.apply_move(k, m)
+
+
+def backward_post_f_vectors(dual, result):
+    """The recount the ledger's closed form replaces: replay the inverse
+    moves backward from the final complex and count faces at every step."""
+    current = result.final
+    out = []
+    for m in reversed(result.moves):
+        current = fc.apply_move(current, fc.inverse_move(m))
+        out.append(fc.f_vector(current))
+    assert current == dual.complex
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def reduced(name, mode):
+    dual = fc.dual_complex(fc.named_polytope(name))
+    return dual, fc.reduce_to_simplex(dual.complex, ReductionOptions(mode=mode))
+
+
+@pytest.mark.parametrize("mode", ("strict", "free"))
+@pytest.mark.parametrize("name", sorted(fc.corpus()))
+def test_ledger_post_f_vectors_match_backward_recount(name, mode):
+    dual, result = reduced(name, mode)
+    cert = build_ledger(dual, result)
+    posts = [step.post_f_vector for step in cert.steps]
+    assert posts == backward_post_f_vectors(dual, result)
+
+
+@FAST
+@given(
+    st.sampled_from(("simplex-3", "prism", "cube-3", "simplex-4", "cube-4")),
+    st.lists(st.integers(0, 2**16), min_size=1, max_size=8),
+)
+def test_ledger_post_f_vectors_match_backward_recount_on_walks(name, choices):
+    # a free-mode walk out, the same walk back, then a reduction: a valid
+    # reduction whose intermediate states are random
+    dual, result = reduced(name, "strict")
+    k = dual.complex
+    walk = []
+    for choice in choices:
+        candidates = reference_moves(k, range(k.dim + 1))
+        move = candidates[choice % len(candidates)]
+        walk.append(move)
+        k = fc.apply_move(k, move)
+    back = [fc.inverse_move(m) for m in reversed(walk)]
+    moves = tuple(walk + back) + result.moves
+    walked = ReductionResult(moves, result.final, True, 0)
+    cert = build_ledger(dual, walked)
+    posts = [step.post_f_vector for step in cert.steps]
+    assert posts == backward_post_f_vectors(dual, walked)

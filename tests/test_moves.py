@@ -1,18 +1,9 @@
 import pytest
 
 import flipcert as fc
-from flipcert.complexes import NotAFace
 from flipcert.moves import Move, NotApplicable, StaleTau, TauNotFresh, fresh_vertex
 
 from conftest import walk_pairs
-
-
-def test_move_type_of(delta3, b5):
-    assert fc.move_type_of(delta3, (0, 1, 2)) == 0
-    assert fc.move_type_of(b5, (0, 1)) == 1
-    assert fc.move_type_of(b5, (4,)) == 2
-    with pytest.raises(NotAFace):
-        fc.move_type_of(b5, (4, 5))
 
 
 def test_is_applicable(delta3, b5):
@@ -32,7 +23,7 @@ def test_apply_vertex_add(delta3):
 
 def test_apply_vertex_remove(b5):
     got = fc.apply_move(b5, Move((4,), (0, 1, 2), 2))
-    assert got == fc.new_complex(2, [[0, 1, 2], [0, 1, 5], [0, 2, 5], [1, 2, 5]])
+    assert got == fc.Complex(2, [[0, 1, 2], [0, 1, 5], [0, 2, 5], [1, 2, 5]])
     assert got.support == {0, 1, 2, 5}
 
 
@@ -53,6 +44,8 @@ def test_apply_errors(b5):
         fc.apply_move(b5, Move((0, 1, 4), (5,), 0))
     with pytest.raises(NotApplicable):
         fc.apply_move(b5, Move((0, 1), (4, 5), 2))  # declared type is wrong
+    with pytest.raises(NotApplicable):  # {∅}: the empty face has type 0
+        fc.apply_move(fc.Complex(-1, [()]), Move((), (0,), 1))
 
 
 def test_inverse_move():

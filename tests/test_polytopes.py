@@ -71,7 +71,7 @@ def test_dual_of_cube_is_octahedron():
 
 def test_dual_of_prism_is_bipyramid_up_to_relabeling():
     dual = fc.dual_complex(fc.named_polytope("prism")).complex
-    b5 = fc.new_complex(2, B5_FACETS)
+    b5 = fc.Complex(2, B5_FACETS)
     assert canonical_form(dual) == canonical_form(b5)
 
 
@@ -100,7 +100,7 @@ def test_dual_of_product_is_join_of_duals():
         dp = fc.dual_complex(p).complex
         dq = fc.dual_complex(q).complex
         shift = p.facet_count
-        shifted = fc.new_complex(
+        shifted = fc.Complex(
             dq.dim, [tuple(v + shift for v in f) for f in dq.facets]
         )
         assert fc.dual_complex(fc.product(p, q)).complex == fc.join(dp, shifted)

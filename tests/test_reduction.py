@@ -9,6 +9,8 @@ from flipcert.reduction import (
     canonical_form,
 )
 
+from conftest import count_f_vector_calls
+
 # Shortest strict reduction length of the octahedral sphere, computed by the
 # breadth-first oracle (see test_oracle_octahedron) and frozen here.
 L_OCT = 3
@@ -64,14 +66,14 @@ def test_free_mode_allows_type_zero(b5):
 
 
 def test_reduce_bad_input():
-    broken = fc.new_complex(2, [[0, 1, 2], [0, 1, 3], [0, 2, 3]])
+    broken = fc.Complex(2, [[0, 1, 2], [0, 1, 3], [0, 2, 3]])
     with pytest.raises(BadInput):
         fc.reduce_to_simplex(broken, ReductionOptions())
     with pytest.raises(BadInput):
-        fc.reduce_to_simplex(fc.new_complex(0, [[0], [1], [2]]), ReductionOptions())
+        fc.reduce_to_simplex(fc.Complex(0, [[0], [1], [2]]), ReductionOptions())
     with pytest.raises(BadInput):
         fc.reduce_to_simplex(
-            fc.new_complex(1, [[0, 1], [1, 2], [0, 2]]),
+            fc.Complex(1, [[0, 1], [1, 2], [0, 2]]),
             ReductionOptions(mode="mystery"),
         )
 
@@ -84,10 +86,19 @@ def test_reduce_exhaustion_is_honest(octahedron):
     assert result.final == octahedron  # best found without steps is the input
 
 
+def test_restarts_share_one_face_count(monkeypatch, octahedron):
+    calls = count_f_vector_calls(monkeypatch)
+    result = fc.reduce_to_simplex(
+        octahedron, ReductionOptions(max_steps=0, restarts=3)
+    )
+    assert not result.succeeded
+    assert calls == [octahedron]
+
+
 def test_replay(delta3, b5):
     assert fc.replay(delta3, []) == delta3
     final = fc.replay(b5, [Move((4,), (0, 1, 2), 2)])
-    assert final == fc.new_complex(2, [[0, 1, 2], [0, 1, 5], [0, 2, 5], [1, 2, 5]])
+    assert final == fc.Complex(2, [[0, 1, 2], [0, 1, 5], [0, 2, 5], [1, 2, 5]])
     with pytest.raises(ReplayFailure) as info:
         fc.replay(b5, [Move((0, 1, 2), (7,), 0)])
     assert info.value.index == 0
@@ -95,12 +106,12 @@ def test_replay(delta3, b5):
 
 
 def test_canonical_form_identifies_relabelings(b5):
-    relabeled = fc.new_complex(
+    relabeled = fc.Complex(
         2, [tuple({0: 9, 1: 3, 2: 0, 4: 7, 5: 2}[v] for v in f) for f in b5.facets]
     )
     assert canonical_form(relabeled) == canonical_form(b5)
     assert canonical_form(b5) != canonical_form(
-        fc.new_complex(2, [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
+        fc.Complex(2, [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
     )
 
 

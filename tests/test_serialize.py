@@ -102,7 +102,7 @@ def test_lambda_round_trip():
 @pytest.fixture(scope="module")
 def schema_bases(corpus_certs):
     """(valid document, parser, expected error) for each untrusted kind."""
-    b5 = fc.new_complex(2, B5_FACETS)
+    b5 = fc.Complex(2, B5_FACETS)
     pair = fc.cpn_pair(2)
     return {
         "complex": (complex_to_doc(b5), complex_from_doc, MalformedDocument),

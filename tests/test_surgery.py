@@ -5,12 +5,11 @@ import pytest
 import flipcert as fc
 from flipcert.errors import InputError
 from flipcert.moves import Move
-from flipcert.quasitoric import CharacteristicPair, ShapeMismatch
+from flipcert.quasitoric import CharacteristicPair, NotFree, ShapeMismatch
 from flipcert.reduction import ReductionResult
 from flipcert.serialize import digest
 from flipcert.surgery import (
     CITATIONS,
-    FreenessFailed,
     MalformedCertificate,
     NotReduced,
     NotVerified,
@@ -23,7 +22,7 @@ from flipcert.surgery import (
     verify_certificate,
 )
 
-from conftest import certificate_mutation_sites
+from conftest import certificate_mutation_sites, count_f_vector_calls
 
 
 def test_simplex_certificates_are_trivial_chains(corpus_certs):
@@ -198,6 +197,15 @@ def test_empty_chain_never_counts_faces(monkeypatch):
     assert verify_certificate(cert).established
 
 
+def test_build_ledger_counts_faces_at_most_once(monkeypatch):
+    dual = fc.dual_complex(fc.named_polytope("cube-4"))
+    result = fc.reduce_to_simplex(dual.complex, fc.ReductionOptions())
+    calls = count_f_vector_calls(monkeypatch)
+    cert = build_ledger(dual, result)
+    assert len(cert.steps) == len(result.moves) > 1
+    assert len(calls) <= 1
+
+
 def test_psc_statement_for_simplex_names_projective_quotient(corpus_certs):
     _, _, cert = corpus_certs["simplex-2"]
     statement = psc_statement(cert, fc.cpn_pair(2))
@@ -228,7 +236,7 @@ def test_psc_statement_requires_verified(delta3):
 def test_psc_statement_requires_freeness(corpus_certs):
     _, _, cert = corpus_certs["simplex-2"]
     singular = CharacteristicPair(cert.polytope, ((0, 1, 0), (0, 0, 1)))
-    with pytest.raises(FreenessFailed):
+    with pytest.raises(NotFree):
         psc_statement(cert, singular)
     with pytest.raises(ShapeMismatch):
         psc_statement(cert, fc.cpn_pair(3))
