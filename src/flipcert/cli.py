@@ -277,12 +277,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        _diagnostic(type(exc).__name__, str(exc), getattr(args, "input", None))
-        return 2
     except FlipcertError as exc:
         _diagnostic(type(exc).__name__, str(exc), getattr(args, "input", None))
-        return 1
+        return 2 if isinstance(exc, InputError) else 1
     except OSError as exc:
         _diagnostic("IOError", str(exc), getattr(exc, "filename", None))
         return 2

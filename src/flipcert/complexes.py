@@ -7,6 +7,10 @@ derived on demand.  Values are immutable and safe to share between workers.
 
 Vertex ids are arbitrary non-negative integers and need not be contiguous:
 moves delete and create vertices, and relabeling would break replay.
+
+``Complex(dim, facets)`` validates every facet and takes all outside data.
+The private ``Complex._derived`` only sorts and deduplicates facets cut out
+of a validated complex; only ``link`` and ``moves._rewrite`` may call it.
 """
 
 import itertools
@@ -80,12 +84,24 @@ class Complex:
                 raise WrongFacetSize(
                     f"facet {f} has {len(f)} vertices, expected {dim + 1}"
                 )
+        self._set_fields(dim, cleaned)
+
+    @classmethod
+    def _derived(cls, dim: int, facets) -> "Complex":
+        """Trusted path: at least one facet, each a sorted tuple of
+        ``dim + 1`` valid ids.  Sorts and deduplicates only."""
+        k = object.__new__(cls)
+        k._set_fields(dim, sorted(set(facets)))
+        return k
+
+    def _set_fields(self, dim, cleaned):
+        facets = tuple(cleaned)
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "facets", tuple(cleaned))
+        object.__setattr__(self, "facets", facets)
         object.__setattr__(
-            self, "support", frozenset(v for f in cleaned for v in f)
+            self, "support", frozenset(itertools.chain.from_iterable(facets))
         )
-        object.__setattr__(self, "_hash", hash((dim, self.facets)))
+        object.__setattr__(self, "_hash", hash((dim, facets)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Complex values are immutable")
@@ -100,11 +116,6 @@ class Complex:
 
     def __repr__(self):
         return f"Complex(dim={self.dim}, facets={len(self.facets)})"
-
-
-def empty_facet_complex() -> Complex:
-    """The complex {∅}: two-sided join identity, and the link of any facet."""
-    return Complex(-1, [()])
 
 
 def has_face(k: Complex, s) -> bool:
@@ -129,7 +140,7 @@ def link(k: Complex, s) -> Complex:
     residues = [tuple(v for v in f if v not in ss) for f in k.facets if ss.issubset(f)]
     if not residues:
         raise NotAFace(f"{s} is not a face of {k!r}")
-    return Complex(k.dim - len(s), residues)
+    return Complex._derived(k.dim - len(s), residues)
 
 
 def join(k: Complex, l: Complex) -> Complex:
@@ -162,12 +173,10 @@ def faces_of_dimension(k: Complex, d: int) -> list:
 def f_vector(k: Complex) -> tuple:
     """Face counts by dimension, ``(f_0, ..., f_dim)``, via subset
     enumeration of the facets with deduplication."""
-    counts = []
-    for d in range(k.dim + 1):
-        counts.append(len(set().union(*(
-            set(itertools.combinations(f, d + 1)) for f in k.facets
-        ))))
-    return tuple(counts)
+    return tuple(
+        len(set().union(*(itertools.combinations(f, d + 1) for f in k.facets)))
+        for d in range(k.dim + 1)
+    )
 
 
 def euler_characteristic(k: Complex) -> int:

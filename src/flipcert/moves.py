@@ -61,9 +61,11 @@ def is_applicable(k: Complex, sigma) -> Optional[Move]:
     A type-0 move (``sigma`` a facet) is always applicable with the canonical
     fresh vertex as ``tau``.  For type ``i >= 1`` the link of ``sigma`` must
     be the full boundary of an ``i``-simplex ``tau``, and ``tau`` must not be
-    a face already; otherwise ``None``.
+    a face already; otherwise ``None``.  The empty face carries no move.
     """
     sigma = as_simplex(sigma)
+    if not sigma:
+        return None
     lk = link(k, sigma)  # raises NotAFace
     i = k.dim - (len(sigma) - 1)
     if i == 0:
@@ -96,13 +98,13 @@ def apply_move(k: Complex, m: Move) -> Complex:
         raise NotApplicable(
             f"declared type {m.move_type} but sigma {sigma} has type {i}"
         )
+    if detected is None:
+        raise NotApplicable(f"link of {sigma} is not a usable simplex boundary")
     if i == 0:
         if len(tau) != 1:
             raise NotApplicable(f"type-0 tau must be a single vertex, got {tau}")
         if tau[0] in k.support:
             raise TauNotFresh(f"vertex {tau[0]} already in the support")
-    elif detected is None:
-        raise NotApplicable(f"link of {sigma} is not a usable simplex boundary")
     elif detected.tau != tau:
         raise StaleTau(f"expected tau {detected.tau}, got {tau}")
     return _rewrite(k, sigma, tau)
@@ -118,7 +120,7 @@ def _rewrite(k: Complex, sigma, tau) -> Complex:
         tuple(sorted(s + tau))
         for s in itertools.combinations(sigma, len(sigma) - 1)
     ]
-    return Complex(k.dim, kept + added)
+    return Complex._derived(k.dim, kept + added)
 
 
 def inverse_move(m: Move) -> Move:

@@ -122,10 +122,12 @@ def _single_search(k, f, allowed, max_steps, rng, counter):
     trail = []
     current, f = _greedy_vertex_removals(k, f, trail, allowed, counter)
     best = (_cost(f), list(trail), current)
+    candidates = None  # kept until a move is accepted
     for step in range(max_steps):
         if is_boundary_of_simplex(current):
             return trail, current, True, best
-        candidates = enumerate_moves(current, allowed)
+        if candidates is None:
+            candidates = enumerate_moves(current, allowed)
         if not candidates:
             break
         counter[0] += 1
@@ -138,6 +140,7 @@ def _single_search(k, f, allowed, max_steps, rng, counter):
             if t <= 0 or rng.random() >= math.exp(-1.0 / t):
                 continue
         current = _rewrite(current, move.sigma, move.tau)
+        candidates = None
         trail.append(move)
         current, f = _greedy_vertex_removals(
             current, proposed, trail, allowed, counter

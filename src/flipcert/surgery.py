@@ -442,21 +442,16 @@ def certificate_to_doc(cert: SurgeryCertificate) -> dict:
 
 
 def _step_from_doc(doc) -> SurgeryStep:
-    index = require(doc, "index", int, "step")
-    ctype = require(doc, "construction_type", int, "step")
-    sigma = require(doc, "sigma", [int], "step")
-    tau = require(doc, "tau", [int], "step")
-    codim = require(doc, "codimension", int, "step")
-    delta = require(doc, "torus_rank_delta", int, "step")
-    post = require(doc, "post_f_vector", [int], "step")
-    return SurgeryStep(
-        index=index,
-        construction_type=ctype,
-        sigma=tuple(sorted(sigma)),
-        tau=tuple(sorted(tau)),
-        codimension=codim,
-        torus_rank_delta=delta,
-        post_f_vector=tuple(post),
+    def field(key, kind):
+        return require(doc, key, kind, "step")
+    return SurgeryStep(  # keyword arguments are read, and checked, in order
+        index=field("index", int),
+        construction_type=field("construction_type", int),
+        sigma=tuple(sorted(field("sigma", [int]))),
+        tau=tuple(sorted(field("tau", [int]))),
+        codimension=field("codimension", int),
+        torus_rank_delta=field("torus_rank_delta", int),
+        post_f_vector=tuple(field("post_f_vector", [int])),
     )
 
 

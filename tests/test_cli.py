@@ -90,6 +90,43 @@ def test_apply_failed_replay_exits_one(capsys, tmp_path):
     assert json.loads(err)["code"] == "ReplayFailure"
 
 
+EMPTY_FACE_MOVE = {"type": 3, "sigma": [], "tau": [0, 1, 2, 3]}
+
+
+def test_apply_empty_face_move_exits_one(capsys, tmp_path):
+    tetrahedron = fc.dual_complex(fc.named_polytope("simplex-3")).complex
+    kpath = write_json(tmp_path / "k.json", complex_to_doc(tetrahedron))
+    mpath = write_json(tmp_path / "m.json", [EMPTY_FACE_MOVE])
+    code, out, err = run(capsys, ["apply", kpath, "--moves", mpath])
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    diagnostic = json.loads(err)
+    assert diagnostic["code"] == "ReplayFailure"
+    assert diagnostic["message"].startswith("move 0 failed: NotApplicable")
+
+
+def test_verify_empty_face_move_exits_one(capsys, tmp_path):
+    ppath = write_json(
+        tmp_path / "p.json", polytope_to_doc(fc.named_polytope("simplex-3"))
+    )
+    cert_path = tmp_path / "cert.json"
+    code, _, _ = run(capsys, ["certify", ppath, "--output", str(cert_path)])
+    assert code == 0
+    cert_doc = json.loads(cert_path.read_text())
+    cert_doc["reduction_moves"] = [EMPTY_FACE_MOVE]
+    bad_path = write_json(tmp_path / "bad.json", cert_doc)
+    code, out, err = run(capsys, ["verify", bad_path])
+    assert code == 1
+    assert err.count("\n") == 1 and "Traceback" not in err
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert not checks["reduction-replay"]["ok"]
+    assert checks["reduction-replay"]["detail"].startswith(
+        "move 0 failed: NotApplicable"
+    )
+    assert json.loads(err)["code"] == "VerificationRefuted"
+
+
 def test_reduce_strict(capsys, tmp_path):
     octa = fc.dual_complex(fc.named_polytope("cube-3")).complex
     kpath = write_json(tmp_path / "k.json", complex_to_doc(octa))

@@ -10,7 +10,6 @@ from flipcert.complexes import (
     NotAFace,
     VertexClash,
     WrongFacetSize,
-    empty_facet_complex,
     faces_of_dimension,
 )
 
@@ -59,7 +58,7 @@ def test_link_not_a_face(b5):
 
 
 def test_link_of_facet_is_join_identity(delta3):
-    assert fc.link(delta3, (0, 1, 2)) == empty_facet_complex()
+    assert fc.link(delta3, (0, 1, 2)) == fc.Complex(-1, [()])
 
 
 def test_join_builds_bipyramid(b5):
@@ -69,8 +68,8 @@ def test_join_builds_bipyramid(b5):
 
 
 def test_join_identity(b5):
-    assert fc.join(b5, empty_facet_complex()) == b5
-    assert fc.join(empty_facet_complex(), b5) == b5
+    assert fc.join(b5, fc.Complex(-1, [()])) == b5
+    assert fc.join(fc.Complex(-1, [()]), b5) == b5
 
 
 def test_join_points():
@@ -92,7 +91,7 @@ def test_join_associative(b5):
 
 def test_boundary_simplex():
     assert fc.boundary_simplex((4, 5)).facets == ((4,), (5,))
-    assert fc.boundary_simplex((7,)) == empty_facet_complex()
+    assert fc.boundary_simplex((7,)) == fc.Complex(-1, [()])
     assert len(fc.boundary_simplex((0, 1, 2)).facets) == 3
     with pytest.raises(EmptySimplex):
         fc.boundary_simplex(())

@@ -5,7 +5,9 @@ reference path it replaces.
   every face from ``faces_of_dimension``;
 - the search's closed-form f-vector update against ``f_vector`` of the
   rewritten complex;
-- the search's unchecked ``_rewrite`` against the validating ``apply_move``;
+- the trusted constructor ``Complex._derived``, and the ``link`` and
+  ``_rewrite`` built on it, against the validating ``Complex(...)`` fed the
+  same facets computed from scratch;
 - the ledger's closed-form post f-vectors against ``f_vector`` of each
   complex the inverse moves reach, replayed backward from the final one.
 
@@ -14,7 +16,9 @@ driven by the reference enumeration so the walk never trusts the code it
 checks.
 """
 
+import ast
 import functools
+import pathlib
 import random
 
 import pytest
@@ -118,12 +122,62 @@ def test_closed_form_f_vector_matches_recount(state):
         assert f_vector_after(f, m) == fc.f_vector(fc.apply_move(k, m))
 
 
+def assert_same_complex(fast, reference):
+    assert fast.dim == reference.dim
+    assert fast.facets == reference.facets
+    assert fast.support == reference.support
+    assert hash(fast) == hash(reference)
+    assert fast == reference
+
+
+@FAST
+@given(walk_states(), st.integers(0, 2**16))
+def test_derived_matches_validating_constructor(state, seed):
+    k, _ = state
+    rng = random.Random(seed)
+    facets = list(k.facets) + rng.choices(k.facets, k=rng.randrange(4))
+    rng.shuffle(facets)
+    assert_same_complex(fc.Complex._derived(k.dim, facets), fc.Complex(k.dim, facets))
+
+
+@FAST
+@given(walk_states())
+def test_link_matches_validating_build(state):
+    k, _ = state
+    faces = [()] + [s for d in range(k.dim + 1) for s in faces_of_dimension(k, d)]
+    for s in faces:
+        residues = [set(f) - set(s) for f in k.facets if set(s) <= set(f)]
+        assert_same_complex(fc.link(k, s), fc.Complex(k.dim - len(s), residues))
+
+
+def rewritten(k, m):
+    """The facets of ``k`` off the star of sigma, plus ``(sigma - v) ∪ tau``
+    for each ``v`` in sigma, built through the validating constructor."""
+    kept = [f for f in k.facets if not set(m.sigma) <= set(f)]
+    added = [set(m.sigma) - {v} | set(m.tau) for v in m.sigma]
+    return fc.Complex(k.dim, kept + added)
+
+
 @FAST
 @given(walk_states())
 def test_rewrite_matches_apply_move(state):
     k, _ = state
-    for m in fc.enumerate_moves(k, set(range(k.dim + 1))):
-        assert _rewrite(k, m.sigma, m.tau) == fc.apply_move(k, m)
+    for m in fc.enumerate_moves(k, set(range(k.dim + 1))):  # type 0 too
+        reference = rewritten(k, m)
+        assert_same_complex(_rewrite(k, m.sigma, m.tau), reference)
+        assert_same_complex(fc.apply_move(k, m), reference)
+
+
+def test_only_link_and_rewrite_use_the_trusted_constructor():
+    callers = set()
+    for path in pathlib.Path(fc.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for function in ast.walk(tree):
+            if isinstance(function, ast.FunctionDef):
+                for node in ast.walk(function):
+                    if isinstance(node, ast.Attribute) and node.attr == "_derived":
+                        callers.add((path.name, function.name))
+    assert callers == {("complexes.py", "link"), ("moves.py", "_rewrite")}
 
 
 def backward_post_f_vectors(dual, result):

@@ -48,6 +48,15 @@ def test_apply_errors(b5):
         fc.apply_move(fc.Complex(-1, [()]), Move((), (0,), 1))
 
 
+def test_empty_face_carries_no_move(delta3):
+    # its link is the whole complex, which may look like a simplex boundary
+    assert fc.is_applicable(delta3, ()) is None
+    with pytest.raises(NotApplicable):
+        fc.apply_move(delta3, Move((), (0, 1, 2, 3), 3))
+    with pytest.raises(NotApplicable):
+        fc.apply_move(fc.Complex(-1, [()]), Move((), (0,), 0))
+
+
 def test_inverse_move():
     assert fc.inverse_move(Move((0, 1, 2), (4,), 0)) == Move((4,), (0, 1, 2), 2)
     assert fc.inverse_move(Move((0, 1), (4, 5), 1)) == Move((4, 5), (0, 1), 1)

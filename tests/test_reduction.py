@@ -31,6 +31,37 @@ def test_reduce_bipyramid_single_move(b5):
     assert fc.is_boundary_of_simplex(result.final)
 
 
+@pytest.mark.parametrize("name", ("cube-4", "cube-5"))
+def test_annealing_enumerates_each_state_once(monkeypatch, name):
+    # a rejected uphill proposal keeps the candidate list, so within one
+    # restart the annealing loop never enumerates the same complex twice in
+    # a row (the greedy sweep asks for the top type alone)
+    from flipcert import reduction
+
+    original_enumerate = reduction.enumerate_moves
+    original_search = reduction._single_search
+    calls = []
+
+    def enumerate_counted(k, types):
+        calls.append((k, frozenset(types)))
+        return original_enumerate(k, types)
+
+    def search_marked(*args):
+        calls.append(None)  # a restart begins
+        return original_search(*args)
+
+    monkeypatch.setattr(reduction, "enumerate_moves", enumerate_counted)
+    monkeypatch.setattr(reduction, "_single_search", search_marked)
+    k = fc.dual_complex(fc.named_polytope(name)).complex
+    result = fc.reduce_to_simplex(k, ReductionOptions(rng_seed=0))
+    assert result.succeeded
+    annealing = frozenset(range(1, k.dim + 1))
+    states = [c if c is None else c[0] for c in calls if c is None or c[1] == annealing]
+    assert states.count(None) >= 1 and len(states) > 2 * states.count(None)
+    for previous, state in zip(states, states[1:]):
+        assert previous is None or state is None or previous != state
+
+
 def test_reduce_octahedron(octahedron):
     result = fc.reduce_to_simplex(octahedron, ReductionOptions())
     assert result.succeeded
