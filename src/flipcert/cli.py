@@ -168,12 +168,8 @@ def _cmd_verify(args) -> int:
     report = verify_certificate(cert)
     _write(args.output, report_to_doc(report))
     if not report.established:
-        failures = report.failures()
-        _diagnostic(
-            "VerificationRefuted",
-            failures[0].detail if failures else "certificate is not verified",
-            failures[0].name if failures else "verified",
-        )
+        first = report.failures()[0]
+        _diagnostic("VerificationRefuted", first.detail, first.name)
         return 1
     return 0
 

@@ -23,13 +23,26 @@ class NotFree(FlipcertError):
 
 @dataclass(frozen=True)
 class CharacteristicPair:
-    """A polytope with an integer matrix assigning a column to each facet."""
+    """A polytope with an integer matrix assigning a column to each facet;
+    a matrix of any other shape raises ``ShapeMismatch``."""
 
     polytope: SimplePolytope
     matrix: tuple  # n rows of m integers each, row-major
 
-    def column(self, facet_index: int) -> tuple:
-        return tuple(row[facet_index] for row in self.matrix)
+    def __post_init__(self):
+        n = self.polytope.dim
+        m = self.polytope.facet_count
+        if len(self.matrix) != n:
+            raise ShapeMismatch(f"matrix has {len(self.matrix)} rows, expected {n}")
+        for row in self.matrix:
+            if len(row) != m:
+                raise ShapeMismatch(f"row of length {len(row)}, expected {m} columns")
+            for entry in row:
+                # every pair is checked when built; exact ints skip the rest
+                if type(entry) is not int and (
+                    not isinstance(entry, int) or isinstance(entry, bool)
+                ):
+                    raise ShapeMismatch(f"non-integer entry {entry!r}")
 
 
 @dataclass(frozen=True)
@@ -63,19 +76,6 @@ def det_int(matrix) -> int:
     return sign * a[-1][-1]
 
 
-def validate_shape(pair: CharacteristicPair) -> None:
-    n = pair.polytope.dim
-    m = pair.polytope.facet_count
-    if len(pair.matrix) != n:
-        raise ShapeMismatch(f"matrix has {len(pair.matrix)} rows, expected {n}")
-    for row in pair.matrix:
-        if len(row) != m:
-            raise ShapeMismatch(f"row of length {len(row)}, expected {m} columns")
-        for entry in row:
-            if not isinstance(entry, int) or isinstance(entry, bool):
-                raise ShapeMismatch(f"non-integer entry {entry!r}")
-
-
 def vertex_minor_determinant(pair: CharacteristicPair, vertex) -> int:
     cols = sorted(vertex)
     minor = [[row[c] for c in cols] for row in pair.matrix]
@@ -88,7 +88,6 @@ def check_freeness(pair: CharacteristicPair) -> FreenessReport:
     A vertex passes iff its minor has determinant ±1; failures are reported
     with the offending determinant value.
     """
-    validate_shape(pair)
     failing = []
     for index, vertex in enumerate(pair.polytope.vertices):
         det = vertex_minor_determinant(pair, vertex)

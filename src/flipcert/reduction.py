@@ -102,7 +102,7 @@ def f_vector_after(f: tuple, move) -> tuple:
     )
 
 
-def _greedy_vertex_removals(current, f, trail, allowed, counter):
+def _greedy_vertex_removals(current, f, trail, allowed):
     """Apply vertex-removing moves (type = dim) until none applies."""
     top = current.dim
     if top not in allowed:
@@ -111,26 +111,28 @@ def _greedy_vertex_removals(current, f, trail, allowed, counter):
         candidates = enumerate_moves(current, {top})
         if not candidates:
             return current, f
-        counter[0] += 1
         move = candidates[0]
         current = _rewrite(current, move.sigma, move.tau)
         f = f_vector_after(f, move)
         trail.append(move)
 
 
-def _single_search(k, f, allowed, max_steps, rng, counter):
+def _single_search(k, f, allowed, max_steps, rng):
+    """One restart; returns the trail, its end, whether that is a simplex
+    boundary, the best state seen and the steps examined: every move
+    applied plus every rejected proposal."""
     trail = []
-    current, f = _greedy_vertex_removals(k, f, trail, allowed, counter)
+    rejected = 0
+    current, f = _greedy_vertex_removals(k, f, trail, allowed)
     best = (_cost(f), list(trail), current)
     candidates = None  # kept until a move is accepted
     for step in range(max_steps):
         if is_boundary_of_simplex(current):
-            return trail, current, True, best
+            return trail, current, True, best, len(trail) + rejected
         if candidates is None:
             candidates = enumerate_moves(current, allowed)
         if not candidates:
             break
-        counter[0] += 1
         move = rng.choice(candidates)
         proposed = f_vector_after(f, move)
         if _cost(proposed) > _cost(f):
@@ -138,17 +140,16 @@ def _single_search(k, f, allowed, max_steps, rng, counter):
             # t underflows to 0.0 after about 3.7M steps, within reach of
             # --max-steps, and exp(-1/t) would then divide by zero
             if t <= 0 or rng.random() >= math.exp(-1.0 / t):
+                rejected += 1
                 continue
         current = _rewrite(current, move.sigma, move.tau)
         candidates = None
         trail.append(move)
-        current, f = _greedy_vertex_removals(
-            current, proposed, trail, allowed, counter
-        )
+        current, f = _greedy_vertex_removals(current, proposed, trail, allowed)
         if _cost(f) < best[0]:
             best = (_cost(f), list(trail), current)
     succeeded = is_boundary_of_simplex(current)
-    return trail, current, succeeded, best
+    return trail, current, succeeded, best, len(trail) + rejected
 
 
 def reduce_to_simplex(k: Complex, opts: ReductionOptions = None) -> ReductionResult:
@@ -167,21 +168,22 @@ def reduce_to_simplex(k: Complex, opts: ReductionOptions = None) -> ReductionRes
     f = _check_sphere_candidate(k)
     lowest = 1 if opts.mode == "strict" else 0
     allowed = set(range(lowest, k.dim + 1))
-    counter = [0]
     if is_boundary_of_simplex(k):
         return ReductionResult((), k, True, 0)
     overall_best = None
+    examined = 0
     for restart in range(opts.restarts):
         rng = random.Random(opts.rng_seed + restart)
-        trail, final, succeeded, best = _single_search(
-            k, f, allowed, opts.max_steps, rng, counter
+        trail, final, succeeded, best, steps = _single_search(
+            k, f, allowed, opts.max_steps, rng
         )
+        examined += steps
         if succeeded:
-            return ReductionResult(tuple(trail), final, True, counter[0])
+            return ReductionResult(tuple(trail), final, True, examined)
         if overall_best is None or best[0] < overall_best[0]:
             overall_best = best
     _, best_trail, best_final = overall_best
-    return ReductionResult(tuple(best_trail), best_final, False, counter[0])
+    return ReductionResult(tuple(best_trail), best_final, False, examined)
 
 
 def replay_states(k: Complex, moves):

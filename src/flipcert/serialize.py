@@ -13,7 +13,7 @@ from .complexes import Complex
 from .errors import InputError
 from .moves import Move
 from .polytopes import SimplePolytope, make_polytope
-from .quasitoric import CharacteristicPair, validate_shape
+from .quasitoric import CharacteristicPair
 from .reduction import ReductionResult
 
 
@@ -159,9 +159,7 @@ def lambda_from_doc(doc, polytope: SimplePolytope) -> CharacteristicPair:
         raise MalformedDocument(
             f"lambda: declared {rows}x{cols}, entries do not have that shape"
         )
-    pair = CharacteristicPair(polytope, tuple(tuple(row) for row in entries))
-    validate_shape(pair)
-    return pair
+    return CharacteristicPair(polytope, tuple(tuple(row) for row in entries))
 
 
 def dump(doc) -> str:

@@ -166,8 +166,11 @@ def build_ledger(dual: DualComplexMap, result: ReductionResult) -> SurgeryCertif
 @dataclass(frozen=True)
 class CheckResult:
     name: str
-    ok: bool
-    detail: str
+    detail: str  # why the check fails; empty exactly when it passes
+
+    @property
+    def ok(self) -> bool:
+        return not self.detail
 
 
 @dataclass(frozen=True)
@@ -176,17 +179,21 @@ class VerificationReport:
     verified_claim: bool  # the flag the certificate carries
 
     @property
-    def consistent(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    @property
     def established(self) -> bool:
-        """True when the certificate is internally consistent and actually
-        establishes the codimension->=3 chain."""
-        return self.consistent and self.verified_claim
+        """True when every check passes.  Passing reduction, construction
+        and threshold checks recompute ``verified`` as true, so a passing
+        ``verified-flag`` check then forces ``verified_claim``: the
+        certificate establishes the codimension->=3 chain."""
+        return all(c.ok for c in self.checks)
 
     def failures(self) -> list:
         return [c for c in self.checks if not c.ok]
+
+
+def _first_failure(details) -> str:
+    """The first non-empty detail among a check's per-step details, or ""
+    when every step passes."""
+    return next(filter(None, details), "")
 
 
 def verify_certificate(cert: SurgeryCertificate) -> VerificationReport:
@@ -202,131 +209,117 @@ def verify_certificate(cert: SurgeryCertificate) -> VerificationReport:
     """
     checks = []
 
-    def check(name, ok, detail=""):
-        checks.append(CheckResult(name, bool(ok), detail))
-        return bool(ok)
+    def check(name, failed, detail):
+        """Record one check, which fails exactly when ``failed`` holds and
+        then carries ``detail``; return whether it passed."""
+        checks.append(CheckResult(name, detail if failed else ""))
+        return not failed
 
     n = cert.polytope.dim
     m = cert.polytope.facet_count
+    moves = cert.reduction_moves
     dual = dual_complex(cert.polytope)
     check(
         "dual-hash",
-        complex_digest(dual.complex) == cert.dual_hash,
+        complex_digest(dual.complex) != cert.dual_hash,
         "stored dual hash does not match the polytope's dual complex",
     )
 
-    reduction_ok = False
     pre_f_vectors = []  # of the complex each reduction move starts from
+    detail = "replay endpoint is not boundary of simplex"
     try:
         endpoint = dual.complex
-        for state in replay_states(dual.complex, cert.reduction_moves):
+        for state in replay_states(dual.complex, moves):
             pre_f_vectors.append(f_vector(endpoint))
             endpoint = state
-        reduction_ok = is_boundary_of_simplex(endpoint)
-        check(
-            "reduction-replay",
-            reduction_ok,
-            "" if reduction_ok else "replay endpoint is not boundary of simplex",
-        )
+        failed = not is_boundary_of_simplex(endpoint)
     except ReplayFailure as exc:
-        check("reduction-replay", False, str(exc))
+        failed, detail = True, str(exc)
+    reduction_ok = check("reduction-replay", failed, detail)
 
-    if len(cert.steps) != len(cert.reduction_moves):
-        mirror_ok = check(
-            "steps-mirror-moves", False,
-            f"{len(cert.steps)} steps for {len(cert.reduction_moves)} moves",
-        )
+    def mirror_failure(k, step):
+        move = moves[len(moves) - 1 - k]
+        expected = inverse_move(move)
+        if step.index != k:
+            return f"step {k} records index {step.index}"
+        if (step.sigma, step.tau) != (expected.sigma, expected.tau):
+            return f"step {k} does not invert reduction move {len(moves) - 1 - k}"
+        if step.construction_type != n - 1 - move.move_type:
+            return (
+                f"step {k} has construction type {step.construction_type}, "
+                f"expected {n - 1 - move.move_type}"
+            )
+        return ""
+
+    if len(cert.steps) != len(moves):
+        detail = f"{len(cert.steps)} steps for {len(moves)} moves"
     else:
-        detail = ""
-        for k, step in enumerate(cert.steps):
-            move = cert.reduction_moves[len(cert.reduction_moves) - 1 - k]
-            expected = inverse_move(move)
-            if step.index != k:
-                detail = f"step {k} records index {step.index}"
-            elif (step.sigma, step.tau) != (expected.sigma, expected.tau):
-                detail = f"step {k} does not invert reduction move {len(cert.reduction_moves) - 1 - k}"
-            elif step.construction_type != n - 1 - move.move_type:
-                detail = (
-                    f"step {k} has construction type {step.construction_type}, "
-                    f"expected {n - 1 - move.move_type}"
-                )
-            if detail:
-                break
-        mirror_ok = check("steps-mirror-moves", not detail, detail)
+        detail = _first_failure(map(mirror_failure, range(len(moves)), cert.steps))
+    mirror_ok = check("steps-mirror-moves", bool(detail), detail)
 
-    detail = ""
-    for step in cert.steps:
-        if step.codimension != codimension_for(n, step.construction_type):
-            detail = f"codimension formula violated at step {step.index}"
-            break
-    check("codimension-formula", not detail, detail)
+    detail = _first_failure(
+        f"codimension formula violated at step {step.index}"
+        for step in cert.steps
+        if step.codimension != codimension_for(n, step.construction_type)
+    )
+    check("codimension-formula", bool(detail), detail)
 
-    construction_ok = False
     if reduction_ok and mirror_ok:
-        detail = ""
-        for step, expected in zip(cert.steps, reversed(pre_f_vectors)):
-            if expected != tuple(step.post_f_vector):
-                detail = f"post f-vector mismatch at step {step.index}"
-                break
-        construction_ok = check("construction-replay", not detail, detail)
-    else:
-        check(
-            "construction-replay", False,
-            "not evaluated: reduction replay or step mirror failed",
+        detail = _first_failure(
+            f"post f-vector mismatch at step {step.index}"
+            for step, expected in zip(cert.steps, reversed(pre_f_vectors))
+            if expected != tuple(step.post_f_vector)
         )
+    else:
+        detail = "not evaluated: reduction replay or step mirror failed"
+    construction_ok = check("construction-replay", bool(detail), detail)
 
-    detail = ""
-    for step in cert.steps:
-        expected = 1 if step.construction_type == 0 else 0
-        if step.torus_rank_delta != expected:
-            detail = f"torus rank delta wrong at step {step.index}"
-            break
-    check("torus-rank-deltas", not detail, detail)
+    detail = _first_failure(
+        f"torus rank delta wrong at step {step.index}"
+        for step in cert.steps
+        if step.torus_rank_delta != (1 if step.construction_type == 0 else 0)
+    )
+    check("torus-rank-deltas", bool(detail), detail)
 
-    total_delta = sum(1 for s in cert.steps if s.construction_type == 0)
-    circles_ok = cert.base_stage.extra_circles == total_delta
-    strict = all(mv.move_type != 0 for mv in cert.reduction_moves)
-    if circles_ok and strict:
-        circles_ok = cert.base_stage.extra_circles == m - (n + 1)
+    circles = cert.base_stage.extra_circles
+    strict = all(mv.move_type != 0 for mv in moves)
     check(
         "extra-circles",
-        circles_ok,
-        "" if circles_ok else
-        f"extra_circles {cert.base_stage.extra_circles} inconsistent with the chain",
+        circles != sum(1 for s in cert.steps if s.construction_type == 0)
+        or (strict and circles != m - (n + 1)),
+        f"extra_circles {circles} inconsistent with the chain",
     )
 
     check(
         "base-stage",
-        cert.base_stage.sphere_dimension == 2 * n + 1,
+        cert.base_stage.sphere_dimension != 2 * n + 1,
         f"base sphere dimension should be {2 * n + 1}",
     )
 
     codims = [s.codimension for s in cert.steps]
-    recomputed_min = min(codims) if codims else None
+    recomputed_min = min(codims, default=None)
     check(
         "min-codimension",
-        cert.min_codimension == recomputed_min,
+        cert.min_codimension != recomputed_min,
         f"recorded {cert.min_codimension}, recomputed {recomputed_min}",
     )
 
-    threshold_ok = all(c >= CODIMENSION_THRESHOLD for c in codims)
-    check(
+    threshold_ok = check(
         "codimension-threshold",
-        threshold_ok,
-        "" if threshold_ok else
+        any(c < CODIMENSION_THRESHOLD for c in codims),
         f"minimum codimension {recomputed_min} is below {CODIMENSION_THRESHOLD}",
     )
 
     check(
         "citations-intact",
-        tuple(cert.citations) == CITATIONS,
+        tuple(cert.citations) != CITATIONS,
         "citation anchors differ from the fixed list",
     )
 
     recomputed_verified = reduction_ok and construction_ok and threshold_ok
     check(
         "verified-flag",
-        cert.verified == recomputed_verified,
+        cert.verified != recomputed_verified,
         f"certificate claims verified={cert.verified}, "
         f"recomputation gives {recomputed_verified}",
     )
@@ -508,6 +501,6 @@ def report_to_doc(report: VerificationReport) -> dict:
             for c in report.checks
         ],
         "verified_claim": report.verified_claim,
-        "consistent": report.consistent,
+        "consistent": report.established,  # the schema keeps both keys
         "established": report.established,
     }

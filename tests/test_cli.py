@@ -11,6 +11,7 @@ from flipcert.serialize import (
     polytope_to_doc,
 )
 from flipcert.moves import Move
+from flipcert.surgery import certificate_to_doc
 
 from conftest import B5_FACETS
 
@@ -183,6 +184,29 @@ def test_certify_and_verify_round_trip(capsys, tmp_path):
     assert code == 1
     assert not json.loads(out)["established"]
     assert json.loads(err)["code"] == "VerificationRefuted"
+
+
+#: The verifier's checks, in report order.
+CHECK_NAMES = [
+    "dual-hash", "reduction-replay", "steps-mirror-moves",
+    "codimension-formula", "construction-replay", "torus-rank-deltas",
+    "extra-circles", "base-stage", "min-codimension",
+    "codimension-threshold", "citations-intact", "verified-flag",
+]
+
+
+def test_passing_checks_carry_no_detail(capsys, tmp_path, corpus_certs):
+    for name, (_, _, cert) in corpus_certs.items():
+        report = fc.verify_certificate(cert)
+        assert [c.name for c in report.checks] == CHECK_NAMES, name
+        assert [c.detail for c in report.checks] == [""] * 12, name
+
+        path = write_json(tmp_path / f"{name}.json", certificate_to_doc(cert))
+        code, out, err = run(capsys, ["verify", path])
+        assert (code, err) == (0, ""), name
+        doc = json.loads(out)
+        assert [c["name"] for c in doc["checks"]] == CHECK_NAMES, name
+        assert all(c["ok"] and c["detail"] == "" for c in doc["checks"]), name
 
 
 def test_certify_with_lambda_and_statement(capsys, tmp_path):

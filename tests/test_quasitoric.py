@@ -80,6 +80,18 @@ def test_shape_mismatch():
         )
 
 
+def test_pair_checks_its_shape_when_built():
+    simplex = fc.simplex_polytope(2)
+    for matrix in (
+        ((1, 0),),
+        ((1, 0, 0),),
+        ((1, 0, 0), (0, True, 1)),
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+    ):
+        with pytest.raises(ShapeMismatch):
+            CharacteristicPair(simplex, matrix)
+
+
 def test_quotient_descriptor():
     assert fc.quotient_descriptor(fc.cpn_pair(2)) == {
         "manifold_dim": 4,

@@ -117,6 +117,28 @@ def test_tampered_codimension_is_localized(corpus_certs):
     assert "at step 0" in names["codimension-formula"]
 
 
+def test_each_step_check_reports_its_first_failing_step(corpus_certs):
+    _, _, cert = corpus_certs["cube-3"]
+    doc = certificate_to_doc(cert)
+    assert len(doc["steps"]) > 1
+    for step in doc["steps"]:
+        step["codimension"] += 2
+        step["torus_rank_delta"] += 1
+        step["post_f_vector"][0] += 1
+    report = verify_certificate(certificate_from_doc(doc))
+    names = {c.name: c.detail for c in report.failures()}
+    assert names["codimension-formula"] == "codimension formula violated at step 0"
+    assert names["construction-replay"] == "post f-vector mismatch at step 0"
+    assert names["torus-rank-deltas"] == "torus rank delta wrong at step 0"
+
+    doc = certificate_to_doc(cert)
+    for step in doc["steps"]:
+        step["index"] += 1
+    report = verify_certificate(certificate_from_doc(doc))
+    names = {c.name: c.detail for c in report.failures()}
+    assert names["steps-mirror-moves"] == "step 0 records index 1"
+
+
 def test_deleted_move_breaks_replay(corpus_certs):
     _, _, cert = corpus_certs["prism"]
     doc = certificate_to_doc(cert)
@@ -162,7 +184,7 @@ def test_mutation_fuzz_smoke(corpus_certs):
 #: Digest of every parsed mutant's report in the exhaustive sweep below, in
 #: corpus and site order: any change to a check's outcome or detail string on
 #: any mutant changes it.
-SWEEP_DIGEST = "sha256:b98f674c69604fe527af52277e7ffa6394e2680e8c234fdc618f7f06e25c0163"
+SWEEP_DIGEST = "sha256:d10778de18807fcd0074f590ce1dd2fc4e0a40b8c08b7141a02b83deaf7aa8c6"
 
 
 def test_exhaustive_mutation_sweep(corpus_certs):
@@ -179,7 +201,11 @@ def test_exhaustive_mutation_sweep(corpus_certs):
             report = verify_certificate(parsed)
             assert not report.established, (name, label)
             assert report.failures(), (name, label)
-            reports.append([name, label, report_to_doc(report)])
+            doc_report = report_to_doc(report)
+            for c in doc_report["checks"]:
+                assert c["ok"] == (c["detail"] == ""), (name, label, c)
+            assert doc_report["consistent"] == doc_report["established"]
+            reports.append([name, label, doc_report])
     assert (sites, len(reports)) == (704, 523)
     assert digest(reports) == SWEEP_DIGEST
 
