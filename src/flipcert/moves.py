@@ -110,17 +110,18 @@ def apply_move(k: Complex, m: Move) -> Complex:
     return _rewrite(k, sigma, tau)
 
 
+def join_boundary(a, b) -> list:
+    """The facets of ``a * boundary(b)``, each ``a ∪ (b - v)`` sorted; a
+    move rewrites ``sigma * boundary(tau)`` into ``boundary(sigma) * tau``."""
+    return [tuple(sorted(a + b[:j] + b[j + 1:])) for j in range(len(b))]
+
+
 def _rewrite(k: Complex, sigma, tau) -> Complex:
-    """Replace the facets containing ``sigma`` by ``{s ∪ tau : s in
-    boundary(sigma)}``, unchecked: only for a move just found applicable on
-    ``k`` (by ``apply_move``'s checks or by ``enumerate_moves``)."""
-    sset = set(sigma)
-    kept = [f for f in k.facets if not sset.issubset(f)]
-    added = [
-        tuple(sorted(s + tau))
-        for s in itertools.combinations(sigma, len(sigma) - 1)
-    ]
-    return Complex._derived(k.dim, kept + added)
+    """Replace the star ``sigma * boundary(tau)`` by ``boundary(sigma) *
+    tau``, unchecked: only for a move just found applicable on ``k`` (by
+    ``apply_move``'s checks or by ``enumerate_moves``)."""
+    kept = set(k.facets).difference(join_boundary(sigma, tau))
+    return Complex._derived(k.dim, kept.union(join_boundary(tau, sigma)))
 
 
 def inverse_move(m: Move) -> Move:

@@ -8,8 +8,8 @@ acts as an equivariant surgery of codimension ``2n - 2i`` (equivalently
 contributing one extra circle factor to the ambient torus.  A certificate
 records that chain with exact codimensions.  The ledger checks the moves by
 one forward replay and takes its f-vectors from the search's closed form;
-verification recomputes every claim from scratch, recounting faces, and
-never trusts the stored flags.
+verification recomputes every claim, never trusting the stored flags, and
+recounts faces locally, on a face table, in its replay.
 """
 
 from dataclasses import dataclass
@@ -26,7 +26,7 @@ from .reduction import (
     ReplayFailure,
     f_vector_after,
     replay,
-    replay_states,
+    replay_f_vectors,
 )
 from .serialize import (
     complex_digest,
@@ -203,7 +203,7 @@ def verify_certificate(cert: SurgeryCertificate) -> VerificationReport:
     complex and its hash, the reduction replay, every post f-vector, every
     codimension, the torus accounting and the verified flag are all rebuilt
     from the polytope and the move list and compared against the stored
-    values.  One forward replay yields every post f-vector: once the steps
+    values.  One face-table replay yields every post f-vector: once the steps
     mirror the moves, step ``k`` undoes reduction move ``L-1-k`` exactly, so
     it ends on the complex that move starts from.
     """
@@ -225,13 +225,9 @@ def verify_certificate(cert: SurgeryCertificate) -> VerificationReport:
         "stored dual hash does not match the polytope's dual complex",
     )
 
-    pre_f_vectors = []  # of the complex each reduction move starts from
     detail = "replay endpoint is not boundary of simplex"
     try:
-        endpoint = dual.complex
-        for state in replay_states(dual.complex, moves):
-            pre_f_vectors.append(f_vector(endpoint))
-            endpoint = state
+        endpoint, pre_f_vectors = replay_f_vectors(dual.complex, moves)
         failed = not is_boundary_of_simplex(endpoint)
     except ReplayFailure as exc:
         failed, detail = True, str(exc)

@@ -9,7 +9,10 @@ reference path it replaces.
   ``_rewrite`` built on it, against the validating ``Complex(...)`` fed the
   same facets computed from scratch;
 - the ledger's closed-form post f-vectors against ``f_vector`` of each
-  complex the inverse moves reach, replayed backward from the final one.
+  complex the inverse moves reach, replayed backward from the final one;
+- the face-table replay (``replay_f_vectors``) against sequential
+  ``apply_move`` with ``f_vector`` on each state, on walks corrupted at one
+  move: the same endpoint and f-vectors, or the same ``ReplayFailure``.
 
 States come from random walks, in dimensions 1-5 and in both search modes,
 driven by the reference enumeration so the walk never trusts the code it
@@ -26,8 +29,15 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import flipcert as fc
 from flipcert.complexes import faces_of_dimension
+from flipcert.errors import FlipcertError
 from flipcert.moves import _rewrite
-from flipcert.reduction import ReductionOptions, ReductionResult, f_vector_after
+from flipcert.reduction import (
+    ReductionOptions,
+    ReductionResult,
+    ReplayFailure,
+    f_vector_after,
+    replay_f_vectors,
+)
 from flipcert.surgery import build_ledger
 
 
@@ -229,3 +239,101 @@ def test_ledger_post_f_vectors_match_backward_recount_on_walks(name, choices):
     cert = build_ledger(dual, walked)
     posts = [step.post_f_vector for step in cert.steps]
     assert posts == backward_post_f_vectors(dual, walked)
+
+
+def reference_replay(k, moves):
+    """Sequential ``apply_move`` and ``f_vector`` on the state each move
+    starts from: the endpoint and f-vectors, or the failing index and the
+    ``ReplayFailure`` text."""
+    pre = []
+    for index, move in enumerate(moves):
+        try:
+            after = fc.apply_move(k, move)
+        except FlipcertError as exc:
+            return index, str(ReplayFailure(index, exc))
+        pre.append(fc.f_vector(k))
+        k = after
+    return k, pre
+
+
+def corrupted(draw, k, move):
+    """``move``, to be applied to ``k``, broken in one drawn way; the result
+    may still apply by chance, which the comparison covers too."""
+    kind = draw(st.sampled_from((
+        "tau", "type", "sigma", "empty", "tau in support",
+        "negative id", "repeated id",
+    )))
+    sigma, tau = list(move.sigma), list(move.tau)
+    vertex = st.integers(0, max(k.support) + 2)
+    if kind == "tau":
+        tau[draw(st.integers(0, len(tau) - 1))] = draw(vertex)
+    elif kind == "type":
+        shift = draw(st.sampled_from((-1, 1, 2)))
+        return fc.Move(move.sigma, move.tau, move.move_type + shift)
+    elif kind == "sigma":
+        sigma[draw(st.integers(0, len(sigma) - 1))] = draw(vertex)
+    elif kind == "empty":
+        draw(st.sampled_from((sigma, tau))).clear()
+    elif kind == "tau in support":
+        facet = draw(st.sampled_from(k.facets))
+        return fc.Move(facet, (draw(st.sampled_from(sorted(k.support))),), 0)
+    else:
+        ids = draw(st.sampled_from((sigma, tau)))
+        ids.append(-1 - ids[0] if kind == "negative id" else ids[0])
+    return fc.Move(tuple(sigma), tuple(tau), move.move_type)
+
+
+@st.composite
+def corrupted_walks(draw):
+    """(start, moves): a random walk in dimension 1-5, strict or free, maybe
+    relabelled, often with one move corrupted; the moves after it stay."""
+    dim = draw(st.integers(1, 5))
+    shape = draw(st.sampled_from(("simplex", "cube")))
+    k = fc.dual_complex(fc.named_polytope(f"{shape}-{dim + 1}")).complex
+    if draw(st.booleans()):
+        k = relabel(k, draw(st.integers(0, 2**16)))
+    types = range(draw(st.sampled_from((0, 1))), dim + 1)
+    choices = draw(st.lists(st.integers(0, 2**16), min_size=1, max_size=10))
+    bad = draw(st.one_of(st.none(), st.integers(0, len(choices) - 1)))
+    start, moves = k, []
+    for index, choice in enumerate(choices):
+        candidates = reference_moves(k, types)
+        if not candidates:
+            break
+        move = candidates[choice % len(candidates)]
+        moves.append(corrupted(draw, k, move) if index == bad else move)
+        k = fc.apply_move(k, move)
+    return start, moves
+
+
+def table_replay(k, moves):
+    """``replay_f_vectors`` in the shape ``reference_replay`` returns."""
+    try:
+        return replay_f_vectors(k, moves)
+    except ReplayFailure as exc:
+        return exc.index, str(exc)
+
+
+@FAST
+@given(corrupted_walks())
+def test_face_table_replay_matches_sequential_apply_move(walk):
+    start, moves = walk
+    assert table_replay(start, moves) == reference_replay(start, moves)
+
+
+@pytest.mark.parametrize("move", [
+    fc.Move((4,), (0, 1, 2), 2),  # applies, as do the next two
+    fc.Move((0, 1), (4, 5), 1),
+    fc.Move((0, 1, 4), (3,), 0),
+    fc.Move((4,), (0, 1, 5), 2),  # wrong tau
+    fc.Move((4,), (0, 1, 2), 1),  # wrong declared type
+    fc.Move((4, 5), (0, 1), 1),  # sigma not a face
+    fc.Move((), (0, 1, 2), 2),  # empty sigma
+    fc.Move((4,), (), 2),  # empty tau
+    fc.Move((0, 1, 4), (2,), 0),  # type-0 tau in the support
+    fc.Move((0, 1), (0, 4), 1),  # tau meets sigma
+    fc.Move((-1,), (0, 1, 2), 2),  # negative id
+    fc.Move((4, 4), (0, 1, 2), 2),  # repeated id
+])
+def test_face_table_replay_matches_apply_move_on_each_corruption(b5, move):
+    assert table_replay(b5, [move]) == reference_replay(b5, [move])

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -221,6 +222,33 @@ def test_empty_chain_never_counts_faces(monkeypatch):
     cert = build_ledger(dual, result)
     assert cert.steps == ()
     assert verify_certificate(cert).established
+
+
+def test_empty_chain_builds_no_face_table(monkeypatch):
+    # the face table of simplex-24's dual would hold 25 * 2**25 faces; a
+    # refusing recount fails fast where a real one would exhaust memory
+    def refuse(*args):
+        raise AssertionError("face table built for an empty chain")
+
+    monkeypatch.setattr("flipcert.reduction._recount", refuse)
+    start = time.perf_counter()
+    dual = fc.dual_complex(fc.simplex_polytope(24))
+    assert fc.replay(dual.complex, []) is dual.complex
+    cert = build_ledger(dual, ReductionResult((), dual.complex, True, 0))
+    assert verify_certificate(cert).established
+    assert time.perf_counter() - start < 0.5
+
+
+def test_verify_never_uses_the_closed_form(monkeypatch, corpus_certs):
+    # the ledger takes its post f-vectors from the search's closed form;
+    # verify must recount faces on its own to check them independently
+    def refuse(*args):
+        raise AssertionError("verify called f_vector_after")
+
+    monkeypatch.setattr("flipcert.surgery.f_vector_after", refuse)
+    monkeypatch.setattr("flipcert.reduction.f_vector_after", refuse)
+    for _, _, cert in corpus_certs.values():
+        assert verify_certificate(cert).established
 
 
 def test_build_ledger_counts_faces_at_most_once(monkeypatch):
