@@ -137,12 +137,7 @@ def _cmd_reduce(args) -> int:
     result = reduce_to_simplex(k, _options_from_args(args))
     _write(args.output, reduction_result_to_doc(k, result))
     if not result.succeeded:
-        _diagnostic(
-            "SearchExhausted",
-            f"no reduction found after {result.steps_examined} steps",
-            args.input,
-        )
-        return 1
+        raise SearchExhausted(result)
     return 0
 
 

@@ -8,7 +8,6 @@ A move of type ``i`` on a complex of dimension ``n-1`` rewrites the star of a
 ``tau``.
 """
 
-import itertools
 from dataclasses import dataclass
 from functools import reduce
 from operator import and_
@@ -20,6 +19,7 @@ from .complexes import (
     as_simplex,
     faces_of_dimension,
     has_face,
+    is_boundary_of_simplex,
     link,
 )
 from .errors import InputError
@@ -70,11 +70,9 @@ def is_applicable(k: Complex, sigma) -> Optional[Move]:
     i = k.dim - (len(sigma) - 1)
     if i == 0:
         return Move(sigma, (fresh_vertex(k),), 0)
+    if not is_boundary_of_simplex(lk):  # lk has dimension i - 1
+        return None
     verts = tuple(sorted(lk.support))
-    if len(verts) != i + 1:
-        return None
-    if set(lk.facets) != set(itertools.combinations(verts, i)):
-        return None
     if has_face(k, verts):
         return None
     return Move(sigma, verts, i)

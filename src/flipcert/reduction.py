@@ -104,11 +104,9 @@ def f_vector_after(f: tuple, move) -> tuple:
     )
 
 
-def _greedy_vertex_removals(current, f, trail, allowed):
+def _greedy_vertex_removals(current, f, trail):
     """Apply vertex-removing moves (type = dim) until none applies."""
     top = current.dim
-    if top not in allowed:
-        return current, f
     while True:
         candidates = enumerate_moves(current, {top})
         if not candidates:
@@ -125,7 +123,7 @@ def _single_search(k, f, allowed, max_steps, rng):
     applied plus every rejected proposal."""
     trail = []
     rejected = 0
-    current, f = _greedy_vertex_removals(k, f, trail, allowed)
+    current, f = _greedy_vertex_removals(k, f, trail)
     best = (_cost(f), list(trail), current)
     candidates = None  # kept until a move is accepted
     for step in range(max_steps):
@@ -147,7 +145,7 @@ def _single_search(k, f, allowed, max_steps, rng):
         current = _rewrite(current, move.sigma, move.tau)
         candidates = None
         trail.append(move)
-        current, f = _greedy_vertex_removals(current, proposed, trail, allowed)
+        current, f = _greedy_vertex_removals(current, proposed, trail)
         if _cost(f) < best[0]:
             best = (_cost(f), list(trail), current)
     succeeded = is_boundary_of_simplex(current)

@@ -6,28 +6,21 @@ simplex, a sphere of dimension 2n+1, every construction move of type ``i``
 acts as an equivariant surgery of codimension ``2n - 2i`` (equivalently
 ``2 + 2j`` for the reduction type ``j = n-1-i``), with type-0 moves each
 contributing one extra circle factor to the ambient torus.  A certificate
-records that chain with exact codimensions.  The ledger checks the moves by
-one forward replay and takes its f-vectors from the search's closed form;
-verification recomputes every claim, never trusting the stored flags, and
-recounts faces locally, on a face table, in its replay.
+records that chain with exact codimensions.  The ledger and verification
+each run one forward replay that recounts faces locally, on a face table,
+and yields every f-vector; verification recomputes every claim from it,
+never trusting the stored flags.
 """
 
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Optional
 
-from .complexes import f_vector, is_boundary_of_simplex
+from .complexes import is_boundary_of_simplex
 from .errors import FlipcertError, InputError
 from .moves import inverse_move
 from .polytopes import DualComplexMap, SimplePolytope, dual_complex
 from .quasitoric import CharacteristicPair, ShapeMismatch, quotient_descriptor
-from .reduction import (
-    ReductionResult,
-    ReplayFailure,
-    f_vector_after,
-    replay,
-    replay_f_vectors,
-)
+from .reduction import ReductionResult, ReplayFailure, replay_f_vectors
 from .serialize import (
     complex_digest,
     move_from_doc,
@@ -117,27 +110,23 @@ def build_ledger(dual: DualComplexMap, result: ReductionResult) -> SurgeryCertif
     """Translate a successful reduction into the construction-direction
     surgery chain.
 
-    One forward replay from the dual checks the moves and must end on
-    ``result.final``.  Step ``k`` undoes reduction move ``L-1-k``, so its
-    post f-vector is that of the complex the move starts from, taken from
-    the search's closed form; only :func:`verify_certificate` recounts faces.
+    One face-table replay from the dual checks the moves, must end on
+    ``result.final`` and counts the faces of every state.  Step ``k`` undoes
+    reduction move ``L-1-k``, so its post f-vector is that of the complex the
+    move starts from, as :func:`verify_certificate` reads it too.
     The base stage is the moment-angle manifold of the simplex (a sphere of
     dimension 2n+1) times one circle per construction-type-0 step.
     """
     if not result.succeeded or not is_boundary_of_simplex(result.final):
         raise NotReduced("the reduction did not reach a simplex boundary")
     try:
-        endpoint = replay(dual.complex, result.moves)
+        # pre_f_vectors: of the complex each reduction move starts from
+        endpoint, pre_f_vectors = replay_f_vectors(dual.complex, result.moves)
     except ReplayFailure as exc:
         raise NotReduced(f"reduction move {exc.index} does not replay: {exc.reason}")
     if endpoint != result.final:
         raise NotReduced("the reduction moves do not reach the recorded final complex")
     n = dual.polytope.dim
-    pre_f_vectors = ()  # of the complex each reduction move starts from
-    if result.moves:
-        pre_f_vectors = tuple(accumulate(
-            result.moves[:-1], f_vector_after, initial=f_vector(dual.complex)
-        ))
     steps = []
     for index, move in enumerate(map(inverse_move, reversed(result.moves))):
         i = move.move_type

@@ -328,6 +328,24 @@ def test_certify_reports_exhaustion_honestly(capsys, tmp_path):
     assert json.loads(err)["code"] == "SearchExhausted"
 
 
+def test_reduce_reports_exhaustion_after_its_result(capsys, tmp_path):
+    dual = fc.dual_complex(fc.named_polytope("cube-4")).complex
+    kpath = write_json(tmp_path / "k.json", complex_to_doc(dual))
+    code, out, err = run(capsys, [
+        "reduce", kpath, "--max-steps", "0", "--restarts", "1",
+    ])
+    assert code == 1
+    doc = json.loads(out)  # the best state found is still reported
+    assert doc["succeeded"] is False
+    assert doc["steps_examined"] == len(doc["moves"]["moves"])
+    (line,) = err.splitlines()
+    diagnostic = json.loads(line)
+    assert (diagnostic["code"], diagnostic["location"]) == ("SearchExhausted", kpath)
+    assert diagnostic["message"] == (
+        f"no reduction found after {doc['steps_examined']} steps"
+    )
+
+
 def test_corpus_round_trips_through_cli(capsys, tmp_path):
     code, out, _ = run(capsys, ["examples"])
     corpus_doc = json.loads(out)

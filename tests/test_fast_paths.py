@@ -8,8 +8,9 @@ reference path it replaces.
 - the trusted constructor ``Complex._derived``, and the ``link`` and
   ``_rewrite`` built on it, against the validating ``Complex(...)`` fed the
   same facets computed from scratch;
-- the ledger's closed-form post f-vectors against ``f_vector`` of each
-  complex the inverse moves reach, replayed backward from the final one;
+- the ledger's post f-vectors, read off the face-table replay, against
+  ``f_vector`` of each complex the inverse moves reach, replayed backward
+  from the final one;
 - the face-table replay (``replay_f_vectors``) against sequential
   ``apply_move`` with ``f_vector`` on each state, on walks corrupted at one
   move: the same endpoint and f-vectors, or the same ``ReplayFailure``.
@@ -191,8 +192,9 @@ def test_only_link_and_rewrite_use_the_trusted_constructor():
 
 
 def backward_post_f_vectors(dual, result):
-    """The recount the ledger's closed form replaces: replay the inverse
-    moves backward from the final complex and count faces at every step."""
+    """The recount the ledger's face-table replay replaces: replay the
+    inverse moves backward from the final complex and count faces at every
+    step."""
     current = result.final
     out = []
     for m in reversed(result.moves):

@@ -212,16 +212,19 @@ def test_exhaustive_mutation_sweep(corpus_certs):
 
 
 def test_empty_chain_never_counts_faces(monkeypatch):
-    # f_vector is exponential in the dimension: on simplex-22 it would hang
-    def refuse(k):
-        raise AssertionError("f_vector called on an empty chain")
+    # f_vector and the face table are exponential in the dimension: on
+    # simplex-22 either would exhaust memory, so both refuse
+    def refuse(*args):
+        raise AssertionError("faces counted for an empty chain")
 
     dual = fc.dual_complex(fc.simplex_polytope(22))
     result = ReductionResult((), dual.complex, True, 0)
-    monkeypatch.setattr("flipcert.surgery.f_vector", refuse)
+    monkeypatch.setattr("flipcert.reduction._recount", refuse)
+    calls = count_f_vector_calls(monkeypatch, refuse)
     cert = build_ledger(dual, result)
     assert cert.steps == ()
     assert verify_certificate(cert).established
+    assert calls == []
 
 
 def test_empty_chain_builds_no_face_table(monkeypatch):
@@ -235,29 +238,41 @@ def test_empty_chain_builds_no_face_table(monkeypatch):
     dual = fc.dual_complex(fc.simplex_polytope(24))
     assert fc.replay(dual.complex, []) is dual.complex
     cert = build_ledger(dual, ReductionResult((), dual.complex, True, 0))
+    assert cert.steps == ()
     assert verify_certificate(cert).established
     assert time.perf_counter() - start < 0.5
 
 
-def test_verify_never_uses_the_closed_form(monkeypatch, corpus_certs):
-    # the ledger takes its post f-vectors from the search's closed form;
-    # verify must recount faces on its own to check them independently
-    def refuse(*args):
-        raise AssertionError("verify called f_vector_after")
+def test_only_the_search_uses_the_closed_form(monkeypatch, corpus_certs):
+    # ledger and verify take their f-vectors from the face-table replay;
+    # the closed form is the search's fast path, checked against it in tests
+    import sys
 
-    monkeypatch.setattr("flipcert.surgery.f_vector_after", refuse)
-    monkeypatch.setattr("flipcert.reduction.f_vector_after", refuse)
-    for _, _, cert in corpus_certs.values():
-        assert verify_certificate(cert).established
+    from flipcert import reduction
+
+    def refuse(*args):
+        raise AssertionError("f_vector_after called outside the search")
+
+    original = reduction.f_vector_after
+    patched = []
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("flipcert")
+                and getattr(module, "f_vector_after", None) is original):
+            monkeypatch.setattr(module, "f_vector_after", refuse)
+            patched.append(name)
+    assert "flipcert.reduction" in patched
+    for dual, result, _ in corpus_certs.values():
+        assert verify_certificate(build_ledger(dual, result)).established
 
 
 def test_build_ledger_counts_faces_at_most_once(monkeypatch):
+    # the face-table replay counts every f-vector, so f_vector never runs
     dual = fc.dual_complex(fc.named_polytope("cube-4"))
     result = fc.reduce_to_simplex(dual.complex, fc.ReductionOptions())
     calls = count_f_vector_calls(monkeypatch)
     cert = build_ledger(dual, result)
     assert len(cert.steps) == len(result.moves) > 1
-    assert len(calls) <= 1
+    assert calls == []
 
 
 def test_psc_statement_for_simplex_names_projective_quotient(corpus_certs):
