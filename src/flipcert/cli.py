@@ -202,10 +202,11 @@ def _add_io(parser, with_input=True):
 
 
 def _add_search_flags(parser):
-    parser.add_argument("--mode", choices=("strict", "free"), default="strict")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--max-steps", type=int, default=100_000)
-    parser.add_argument("--restarts", type=int, default=8)
+    default = ReductionOptions()
+    parser.add_argument("--mode", choices=("strict", "free"), default=default.mode)
+    parser.add_argument("--seed", type=int, default=default.rng_seed)
+    parser.add_argument("--max-steps", type=int, default=default.max_steps)
+    parser.add_argument("--restarts", type=int, default=default.restarts)
 
 
 def build_parser() -> argparse.ArgumentParser:

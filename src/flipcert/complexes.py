@@ -3,7 +3,7 @@
 A simplex is a strictly increasing tuple of non-negative integer vertex ids;
 the empty tuple is the empty simplex (dimension -1).  A :class:`Complex` is a
 pure complex: every facet has the same dimension, and all lower faces are
-derived on demand.  Values are immutable and safe to share between workers.
+derived on demand.  Values are frozen slotted dataclasses that copy and pickle.
 
 Vertex ids are arbitrary non-negative integers and need not be contiguous:
 moves delete and create vertices, and relabeling would break replay.
@@ -14,7 +14,7 @@ of a validated complex; only ``link`` and ``moves._rewrite`` may call it.
 """
 
 import itertools
-from math import comb
+from dataclasses import dataclass, field
 
 from .errors import InputError
 
@@ -65,6 +65,7 @@ def as_simplex(vertices) -> Simplex:
     return vs
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class Complex:
     """A pure simplicial complex, identified by its facet set.
 
@@ -73,7 +74,9 @@ class Complex:
     link of a facet.  A complex with no facets at all is rejected.
     """
 
-    __slots__ = ("dim", "facets", "support", "_hash")
+    dim: int
+    facets: tuple
+    support: frozenset = field(compare=False)
 
     def __init__(self, dim: int, facets):
         cleaned = sorted({as_simplex(f) for f in facets})
@@ -101,18 +104,6 @@ class Complex:
         object.__setattr__(
             self, "support", frozenset(itertools.chain.from_iterable(facets))
         )
-        object.__setattr__(self, "_hash", hash((dim, facets)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Complex values are immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, Complex):
-            return NotImplemented
-        return self.dim == other.dim and self.facets == other.facets
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return f"Complex(dim={self.dim}, facets={len(self.facets)})"
@@ -215,4 +206,4 @@ def is_boundary_of_simplex(k: Complex) -> bool:
     if len(k.support) != k.dim + 2:
         return False
     # dim+2 distinct (dim+1)-subsets of a (dim+2)-set are all of them.
-    return len(k.facets) == comb(k.dim + 2, k.dim + 1)
+    return len(k.facets) == k.dim + 2

@@ -64,7 +64,7 @@ class SimplePolytope:
                     f"vertex {sorted(v)} lies on {len(v)} facets, expected {n}"
                 )
             for fi in v:
-                if not isinstance(fi, int) or fi < 0 or fi >= m:
+                if not isinstance(fi, int) or isinstance(fi, bool) or not 0 <= fi < m:
                     raise UnknownFacetIndex(f"facet index {fi!r} out of range")
             key = frozenset(v)
             if key in seen:

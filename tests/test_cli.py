@@ -3,7 +3,7 @@ import json
 import pytest
 
 import flipcert as fc
-from flipcert.cli import main
+from flipcert.cli import _options_from_args, build_parser, main
 from flipcert.serialize import (
     complex_to_doc,
     lambda_to_doc,
@@ -305,6 +305,12 @@ def test_unknown_flag_is_rejected(capsys):
     with pytest.raises(SystemExit) as info:
         main(["reduce", "--unknown-flag", "1"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["reduce", "certify"])
+def test_search_flags_default_to_reduction_options(command):
+    args = build_parser().parse_args([command])
+    assert _options_from_args(args) == fc.ReductionOptions()
 
 
 def test_moves_flags_non_pseudomanifold_input(capsys, tmp_path):

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 
@@ -178,6 +180,30 @@ def test_faces_of_dimension(b5):
     assert faces_of_dimension(b5, 2) == list(b5.facets)
 
 
-def test_complex_immutable(b5):
+@pytest.mark.parametrize("name", ["dim", "facets", "support"])
+def test_complex_immutable(b5, name):
     with pytest.raises(AttributeError):
-        b5.dim = 3
+        setattr(b5, name, getattr(b5, name))
+
+
+def value_samples():
+    """One value of each kind a worker may receive: a validated complex, a
+    trusted one built by ``link``, a search result and a dual map."""
+    dual = fc.dual_complex(fc.named_polytope("cube-3"))
+    return {
+        "complex": fc.Complex(2, itertools.combinations(range(4), 3)),
+        "link": fc.link(dual.complex, dual.complex.facets[0][:1]),
+        "reduction": fc.reduce_to_simplex(dual.complex),
+        "dual": dual,
+    }
+
+
+@pytest.mark.parametrize("kind", ["complex", "link", "reduction", "dual"])
+def test_values_copy_and_pickle(kind):
+    value = value_samples()[kind]
+    for twin in (
+        copy.copy(value),
+        copy.deepcopy(value),
+        pickle.loads(pickle.dumps(value)),
+    ):
+        assert twin == value and hash(twin) == hash(value)

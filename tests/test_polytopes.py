@@ -40,6 +40,8 @@ def test_parse_not_simple():
 def test_parse_bad_index_and_duplicate():
     with pytest.raises(UnknownFacetIndex):
         make_polytope(2, ["a", "b", "c"], [[0, 1], [0, 2], [1, 9]])
+    with pytest.raises(UnknownFacetIndex):
+        make_polytope(1, ["a", "b"], [{False}, {True}])
     with pytest.raises(DuplicateVertex):
         make_polytope(2, ["a", "b", "c"], [[0, 1], [0, 1], [1, 2], [0, 2]])
 
