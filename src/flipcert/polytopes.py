@@ -8,7 +8,7 @@ unverified by the certificate layer.
 
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .complexes import Complex
 from .errors import InputError
@@ -151,10 +151,6 @@ def product(p: SimplePolytope, q: SimplePolytope) -> SimplePolytope:
     return make_polytope(p.dim + q.dim, names, vertices)
 
 
-def rename_facets(p: SimplePolytope, names) -> SimplePolytope:
-    return SimplePolytope(p.dim, tuple(names), p.vertices)
-
-
 def cube_polytope(n: int) -> SimplePolytope:
     """The combinatorial n-cube with opposite facets paired as indices
     (2k, 2k+1)."""
@@ -202,9 +198,9 @@ def named_polytope(name: str) -> SimplePolytope:
     if m:
         return cube_polytope(int(m.group(1)))
     if name == "prism":
-        return rename_facets(
+        return replace(
             product(simplex_polytope(2), simplex_polytope(1)),
-            ("side0", "side1", "side2", "top", "bottom"),
+            facet_names=("side0", "side1", "side2", "top", "bottom"),
         )
     if name == "dodecahedron":
         return dodecahedron_polytope()

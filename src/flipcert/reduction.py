@@ -118,17 +118,17 @@ def _greedy_vertex_removals(current, f, trail):
 
 
 def _single_search(k, f, allowed, max_steps, rng):
-    """One restart; returns the trail, its end, whether that is a simplex
-    boundary, the best state seen and the steps examined: every move
-    applied plus every rejected proposal."""
+    """One restart; returns the steps examined (every move applied plus
+    every rejected proposal) and the least-cost state seen, as ``(cost,
+    trail, complex)``.  It stops at a simplex boundary, the least of all."""
     trail = []
     rejected = 0
     current, f = _greedy_vertex_removals(k, f, trail)
-    best = (_cost(f), list(trail), current)
+    best = (_cost(f), len(trail), current)  # the trail only grows
     candidates = None  # kept until a move is accepted
     for step in range(max_steps):
         if is_boundary_of_simplex(current):
-            return trail, current, True, best, len(trail) + rejected
+            break
         if candidates is None:
             candidates = enumerate_moves(current, allowed)
         if not candidates:
@@ -147,20 +147,20 @@ def _single_search(k, f, allowed, max_steps, rng):
         trail.append(move)
         current, f = _greedy_vertex_removals(current, proposed, trail)
         if _cost(f) < best[0]:
-            best = (_cost(f), list(trail), current)
-    succeeded = is_boundary_of_simplex(current)
-    return trail, current, succeeded, best, len(trail) + rejected
+            best = (_cost(f), len(trail), current)
+    cost, length, final = best
+    return len(trail) + rejected, (cost, tuple(trail[:length]), final)
 
 
-def reduce_to_simplex(k: Complex, opts: ReductionOptions = None) -> ReductionResult:
+def reduce_to_simplex(k: Complex, opts=ReductionOptions()) -> ReductionResult:
     """Search for a move sequence taking ``k`` to a simplex boundary.
 
-    Restarts run with derived seeds (``rng_seed + index``); the first
-    successful restart wins, which keeps identical inputs and options
-    bit-reproducible.  On failure the result carries the best state seen.
+    Restarts run with derived seeds (``rng_seed + index``), so identical
+    inputs and options are bit-reproducible, and the least-cost state wins.
+    Moves keep each ridge in two facets, so only a simplex boundary has the
+    fewest vertices, ``dim + 2``, and the least cost: reaching one ends the
+    search, and the result succeeds exactly when its state is one.
     """
-    if opts is None:
-        opts = ReductionOptions()
     if opts.mode not in ("strict", "free"):
         raise BadInput(f"unknown mode {opts.mode!r}")
     if opts.max_steps < 0 or opts.restarts < 1:
@@ -170,20 +170,18 @@ def reduce_to_simplex(k: Complex, opts: ReductionOptions = None) -> ReductionRes
     allowed = set(range(lowest, k.dim + 1))
     if is_boundary_of_simplex(k):
         return ReductionResult((), k, True, 0)
-    overall_best = None
+    best = None
     examined = 0
     for restart in range(opts.restarts):
         rng = random.Random(opts.rng_seed + restart)
-        trail, final, succeeded, best, steps = _single_search(
-            k, f, allowed, opts.max_steps, rng
-        )
+        steps, found = _single_search(k, f, allowed, opts.max_steps, rng)
         examined += steps
-        if succeeded:
-            return ReductionResult(tuple(trail), final, True, examined)
-        if overall_best is None or best[0] < overall_best[0]:
-            overall_best = best
-    _, best_trail, best_final = overall_best
-    return ReductionResult(tuple(best_trail), best_final, False, examined)
+        if best is None or found[0] < best[0]:
+            best = found
+        if is_boundary_of_simplex(best[2]):
+            break
+    _, moves, final = best
+    return ReductionResult(moves, final, is_boundary_of_simplex(final), examined)
 
 
 def _recount(table, f, added, removed):

@@ -107,17 +107,17 @@ def codimension_for(n: int, construction_type: int) -> int:
 
 
 def build_ledger(dual: DualComplexMap, result: ReductionResult) -> SurgeryCertificate:
-    """Translate a successful reduction into the construction-direction
-    surgery chain.
+    """Translate a reduction whose ``final`` is a simplex boundary, whatever
+    its ``succeeded`` flag says, into the construction-direction surgery chain.
 
     One face-table replay from the dual checks the moves, must end on
-    ``result.final`` and counts the faces of every state.  Step ``k`` undoes
-    reduction move ``L-1-k``, so its post f-vector is that of the complex the
-    move starts from, as :func:`verify_certificate` reads it too.
-    The base stage is the moment-angle manifold of the simplex (a sphere of
-    dimension 2n+1) times one circle per construction-type-0 step.
+    ``result.final``, proving the moves reach it, and counts the faces of every
+    state.  Step ``k`` undoes reduction move ``L-1-k``, so its post f-vector is
+    that of the complex the move starts from, as :func:`verify_certificate`
+    reads it too.  The base stage is the moment-angle manifold of the simplex
+    (a sphere of dimension 2n+1) times one circle per construction-type-0 step.
     """
-    if not result.succeeded or not is_boundary_of_simplex(result.final):
+    if not is_boundary_of_simplex(result.final):
         raise NotReduced("the reduction did not reach a simplex boundary")
     try:
         # pre_f_vectors: of the complex each reduction move starts from

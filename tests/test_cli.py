@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -299,6 +300,120 @@ def test_certify_rejects_misshapen_lambda_before_searching(
     assert code == 2 and out == ""
     assert json.loads(err)["code"] == "ShapeMismatch"
     assert not cert_path.exists()
+
+
+#: The 7-vertex Möbius torus: a pseudomanifold, but no 2-sphere.
+TORUS_7 = [[i, (i + 1) % 7, (i + 3) % 7] for i in range(7)] + [
+    [i, (i + 2) % 7, (i + 3) % 7] for i in range(7)
+]
+SQUARE = [[0, 1], [1, 2], [2, 3], [0, 3]]
+SEGMENT = {"dim": 1, "facets": ["a", "b"], "vertices": [[0], [1]]}
+CUBE_3 = polytope_to_doc(fc.named_polytope("cube-3"))
+#: cube-3's opposite facets 2k, 2k+1 share the k-th unit column.
+PAIRED_IDENTITY = {"rows": 3, "cols": 6, "entries": [
+    [1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0], [0, 0, 0, 0, 1, 1],
+]}
+
+
+def _statement_quotient(out, paths):
+    with open(paths["@statement"]) as handle:
+        statement = json.load(handle)
+    assert statement["quotient"]["description"] == (
+        "quotient of the moment-angle manifold by a freely acting rank-3 "
+        "subtorus, of dimension 6"
+    )
+
+
+def _two_points(out, paths):
+    assert json.loads(out) == {"dim": 0, "facets": [[0], [1]]}
+
+
+def _lists_every_type(out, paths):
+    assert {m["type"] for m in json.loads(out)["moves"]} == {0, 1}
+
+
+def cli_case(name, argv, files=None, exit_code=2, code=None, message="",
+             location=None, stdin=None, check=None):
+    """``argv`` items starting with ``@`` name files under the test's
+    directory, written from ``files`` when listed there."""
+    return pytest.param(
+        argv, files or {}, exit_code, code, message, location, stdin, check,
+        id=name,
+    )
+
+
+CLI_CASES = [
+    cli_case("reduce-torus", ["reduce", "@k"],
+             {"@k": {"dim": 2, "facets": TORUS_7}}, code="BadInput",
+             message="Euler characteristic 0 does not match a 2-sphere (2)"),
+    cli_case("reduce-no-facets", ["reduce", "@k"],
+             {"@k": {"dim": 1, "facets": []}}, code="EmptyComplex",
+             message="a complex needs at least one facet"),
+    cli_case("build-dual-dim-0", ["build-dual", "@p"],
+             {"@p": {"dim": 0, "facets": ["a"], "vertices": [[0]]}},
+             code="BadDimension", message="polytope dimension must be >= 1"),
+    cli_case("build-dual-duplicate-name", ["build-dual", "@p"],
+             {"@p": dict(SEGMENT, facets=["a", "a"])},
+             code="DuplicateFacetName", message="facet names must be distinct"),
+    cli_case("build-dual-unused-facet", ["build-dual", "@p"],
+             {"@p": dict(SEGMENT, facets=["a", "b", "c"])},
+             code="UnusedFacet", message="facets [2] appear in no vertex"),
+    cli_case("check-freeness-shape", ["check-freeness", "@p", "--lambda", "@l"],
+             {"@p": SEGMENT,
+              "@l": {"rows": 1, "cols": 3, "entries": [[1, 1, 1]]}},
+             code="ShapeMismatch", message="row of length 3"),
+    cli_case("reduce-no-restarts", ["reduce", "@k", "--restarts", "0"],
+             {"@k": {"dim": 1, "facets": SQUARE}}, code="BadInput",
+             message="invalid search options"),
+    cli_case("reduce-negative-steps", ["reduce", "@k", "--max-steps", "-1"],
+             {"@k": {"dim": 1, "facets": SQUARE}}, code="BadInput",
+             message="invalid search options"),
+    cli_case("moves-unknown-type", ["moves", "@k", "--types", "5"],
+             {"@k": {"dim": 1, "facets": [[0, 1], [1, 2], [0, 2]]}},
+             code="InputError", message="move types [5] outside 0..1"),
+    cli_case("apply-short-tau", ["apply", "@k", "--moves", "@m"],
+             {"@k": {"dim": 2, "facets": B5_FACETS},
+              "@m": [{"type": 0, "sigma": [0, 1, 4], "tau": [7, 8]}]},
+             exit_code=1, code="ReplayFailure",
+             message="move 0 failed: NotApplicable: type-0 tau must be a "
+                     "single vertex, got (7, 8)"),
+    cli_case("moves-every-type", ["moves", "@k"],
+             {"@k": {"dim": 1, "facets": SQUARE}}, exit_code=0,
+             check=_lists_every_type),
+    cli_case("missing-input", ["build-dual", "@missing"], code="IOError",
+             message="No such file or directory", location="@missing"),
+    cli_case("stdin-input", ["build-dual", "-"], exit_code=0,
+             stdin=json.dumps(SEGMENT), check=_two_points),
+    cli_case("certify-rank-3-statement",
+             ["certify", "@p", "--lambda", "@l", "--statement", "@statement"],
+             {"@p": CUBE_3, "@l": PAIRED_IDENTITY}, exit_code=0,
+             check=_statement_quotient),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, files, exit_code, code, message, location, stdin, check", CLI_CASES
+)
+def test_cli_outcomes(capsys, tmp_path, monkeypatch, argv, files, exit_code,
+                      code, message, location, stdin, check):
+    paths = {a: str(tmp_path / f"{a[1:]}.json") for a in argv if a.startswith("@")}
+    for name, doc in files.items():
+        write_json(tmp_path / f"{name[1:]}.json", doc)
+    if stdin is not None:
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    result, out, err = run(capsys, [paths.get(a, a) for a in argv])
+    assert result == exit_code
+    if code is None:
+        assert err == ""
+    else:
+        (line,) = err.splitlines()
+        diagnostic = json.loads(line)
+        assert diagnostic["code"] == code
+        assert message in diagnostic["message"]
+        if location is not None:
+            assert diagnostic["location"] == paths[location]
+    if check is not None:
+        check(out, paths)
 
 
 def test_unknown_flag_is_rejected(capsys):

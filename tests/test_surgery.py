@@ -78,6 +78,16 @@ def test_build_ledger_requires_success(b5):
         build_ledger(dual, failed)
 
 
+
+def test_build_ledger_reads_the_final_state_not_the_flag(corpus_certs):
+    # the replay proves that the moves reach the simplex-boundary final
+    # complex, so a result whose flag understates that still certifies
+    dual, result, cert = corpus_certs["cube-3"]
+    unflagged = ReductionResult(result.moves, result.final, False, 0)
+    again = build_ledger(dual, unflagged)
+    assert again == cert
+    assert verify_certificate(again).established
+
 def test_build_ledger_rejects_moves_that_do_not_replay(corpus_certs):
     dual, result, _ = corpus_certs["cube-3"]
     first = result.moves[0]

@@ -11,6 +11,7 @@ import pytest
 
 import flipcert as fc
 from flipcert import serialize
+from flipcert.serialize import reduction_result_to_doc
 from flipcert.surgery import build_ledger, certificate_to_doc
 
 GOLDEN = {
@@ -42,3 +43,31 @@ def test_seed_zero_trajectory(name):
         serialize.digest(certificate_to_doc(cert)),
     )
     assert observed == GOLDEN[name]
+
+
+#: Searches that exhaust their budget, keyed by (polytope, mode, max_steps,
+#: restarts) at seed 0: the best trail's move count, ``steps_examined`` and
+#: the digest of the reduction-result document, which carries the best state.
+EXHAUSTED = {
+    ("cube-4", "free", 60, 1): (39, 74, "sha256:24a4ac276bac0601b784d18ad87904cfdb8b77860c615340cae6a911d1763919"),
+    ("dodecahedron", "free", 10, 3): (17, 46, "sha256:6aa6951d3879d7b5bdf0449b6dd723790cdb56dd8d040a8ac7819c849a15fd66"),
+    ("cube-5", "strict", 40, 3): (25, 121, "sha256:5af0b565b2413e15e846832373307ffe81c639f497f23652839d3c5d80303aaa"),
+    ("prism x prism", "strict", 60, 3): (23, 183, "sha256:14579a4fbe1222a2e79eb1ca15a210f4971377cca542677055bf0b64d40b001b"),
+    ("cube-5", "strict", 30, 3): (0, 90, "sha256:4780343b7c3e294ccd2b1a0ba7f7291c9271d4a872c33ec73e66bf7ca3b90f37"),
+}
+
+
+@pytest.mark.parametrize("key", list(EXHAUSTED), ids=lambda key: "-".join(map(str, key)))
+def test_exhausted_search_keeps_its_best_state(key):
+    name, mode, max_steps, restarts = key
+    k = fc.dual_complex(_polytope(name)).complex
+    opts = fc.ReductionOptions(mode=mode, max_steps=max_steps, restarts=restarts)
+    result = fc.reduce_to_simplex(k, opts)
+    assert not result.succeeded
+    assert fc.replay(k, result.moves) == result.final
+    observed = (
+        len(result.moves),
+        result.steps_examined,
+        serialize.digest(reduction_result_to_doc(k, result)),
+    )
+    assert observed == EXHAUSTED[key]
