@@ -4,10 +4,12 @@ Exit codes: 0 success/verified, 1 checked failure (refuted certificate,
 exhausted search, failed replay or freeness), 2 input error.  Diagnostics go
 to stderr as one-line JSON objects ``{code, message, location}``; all
 randomness flows from ``--seed`` (default 0) so outputs are byte-identical
-for identical inputs.
+for identical inputs.  The parser is built once per process and shared by
+every ``main`` call; parsing never changes it.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -60,6 +62,15 @@ def _read_json(path):
         raise serialize.MalformedDocument(f"{path}: {exc}")
 
 
+def _load(path, decode, *context):
+    """``decode`` the JSON file at ``path``; its input errors name ``path``."""
+    try:
+        return decode(_read_json(path), *context)
+    except InputError as exc:
+        exc.location = path
+        raise
+
+
 def _write(path, doc):
     text = serialize.dump(doc)
     if path == "-":
@@ -86,7 +97,7 @@ def _options_from_args(args) -> ReductionOptions:
 
 
 def _cmd_build_dual(args) -> int:
-    polytope = polytope_from_doc(_read_json(args.input))
+    polytope = _load(args.input, polytope_from_doc)
     _write(args.output, complex_to_doc(dual_complex(polytope).complex))
     return 0
 
@@ -102,7 +113,7 @@ def _warn_if_not_pseudomanifold(k, location):
 
 
 def _cmd_moves(args) -> int:
-    k = complex_from_doc(_read_json(args.input))
+    k = _load(args.input, complex_from_doc)
     _warn_if_not_pseudomanifold(k, args.input)
     if args.types:
         try:
@@ -119,9 +130,9 @@ def _cmd_moves(args) -> int:
 
 
 def _cmd_apply(args) -> int:
-    k = complex_from_doc(_read_json(args.input))
+    k = _load(args.input, complex_from_doc)
     _warn_if_not_pseudomanifold(k, args.input)
-    start_hash, moves = move_sequence_from_doc(_read_json(args.moves))
+    start_hash, moves = _load(args.moves, move_sequence_from_doc)
     if start_hash is not None and start_hash != complex_digest(k):
         raise StartHashMismatch(
             f"sequence was recorded against {start_hash}, input hashes to "
@@ -133,7 +144,7 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    k = complex_from_doc(_read_json(args.input))
+    k = _load(args.input, complex_from_doc)
     result = reduce_to_simplex(k, _options_from_args(args))
     _write(args.output, reduction_result_to_doc(k, result))
     if not result.succeeded:
@@ -142,10 +153,10 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    polytope = polytope_from_doc(_read_json(args.input))
+    polytope = _load(args.input, polytope_from_doc)
     pair = None
     if args.lambda_path:  # fail fast, before any search effort
-        pair = lambda_from_doc(_read_json(args.lambda_path), polytope)
+        pair = _load(args.lambda_path, lambda_from_doc, polytope)
     dual = dual_complex(polytope)
     result = reduce_to_simplex(dual.complex, _options_from_args(args))
     if not result.succeeded:
@@ -159,7 +170,7 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cert = certificate_from_doc(_read_json(args.input))
+    cert = _load(args.input, certificate_from_doc)
     report = verify_certificate(cert)
     _write(args.output, report_to_doc(report))
     if not report.established:
@@ -170,8 +181,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_check_freeness(args) -> int:
-    polytope = polytope_from_doc(_read_json(args.input))
-    pair = lambda_from_doc(_read_json(args.lambda_path), polytope)
+    polytope = _load(args.input, polytope_from_doc)
+    pair = _load(args.lambda_path, lambda_from_doc, polytope)
     report = check_freeness(pair)
     _write(args.output, {
         "ok": report.ok,
@@ -209,6 +220,7 @@ def _add_search_flags(parser):
     parser.add_argument("--restarts", type=int, default=default.restarts)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flipcert",
@@ -265,12 +277,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except FlipcertError as exc:
-        _diagnostic(type(exc).__name__, str(exc), getattr(args, "input", None))
+        location = getattr(exc, "location", getattr(args, "input", None))
+        _diagnostic(type(exc).__name__, str(exc), location)
         return 2 if isinstance(exc, InputError) else 1
     except OSError as exc:
         _diagnostic("IOError", str(exc), getattr(exc, "filename", None))

@@ -32,7 +32,10 @@ def digest(doc) -> str:
 
 def _fits(value, kind) -> bool:
     if isinstance(kind, list):
-        return isinstance(value, list) and all(_fits(v, kind[0]) for v in value)
+        plain, bad = kind[0], (bool if kind[0] is int else ())
+        if isinstance(plain, type) and isinstance(value, list):  # one pass
+            return all(isinstance(v, plain) and not isinstance(v, bad) for v in value)
+        return isinstance(value, list) and all(_fits(v, plain) for v in value)
     if isinstance(kind, tuple):
         return any(_fits(value, k) for k in kind)
     if kind is None:
@@ -51,7 +54,7 @@ def _kind_name(kind) -> str:
 def require(doc, key, kind, where):
     """``doc[key]``, checked against ``kind``: a type, ``None`` for null,
     ``[k]`` for a list of kind ``k`` or a tuple of alternatives.  Bools
-    never count as ints."""
+    never count as ints.  A list of a plain type is checked in one pass."""
     if not isinstance(doc, dict) or key not in doc:
         raise MalformedDocument(f"{where}: missing key {key!r}")
     value = doc[key]

@@ -1,5 +1,8 @@
 import io
 import json
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -388,6 +391,21 @@ CLI_CASES = [
              ["certify", "@p", "--lambda", "@l", "--statement", "@statement"],
              {"@p": CUBE_3, "@l": PAIRED_IDENTITY}, exit_code=0,
              check=_statement_quotient),
+    cli_case("apply-bad-moves-file", ["apply", "@k", "--moves", "@m"],
+             {"@k": {"dim": 2, "facets": B5_FACETS},
+              "@m": [{"type": 2, "sigma": [4], "tau": "x"}]},
+             code="MalformedDocument",
+             message="move: 'tau' must be list of int, got str", location="@m"),
+    cli_case("certify-bad-lambda-file", ["certify", "@p", "--lambda", "@l"],
+             {"@p": CUBE_3, "@l": dict(PAIRED_IDENTITY, entries=[
+                 [1, True, 0, 0, 0, 0], *PAIRED_IDENTITY["entries"][1:]])},
+             code="MalformedDocument", location="@l",
+             message="lambda: 'entries' must be list of list of int, got list"),
+    cli_case("check-freeness-bad-lambda-file",
+             ["check-freeness", "@p", "--lambda", "@l"],
+             {"@p": SEGMENT, "@l": {"rows": 2, "cols": 2, "entries": [[1, 1]]}},
+             code="MalformedDocument", location="@l",
+             message="lambda: declared 2x2, entries do not have that shape"),
 ]
 
 
@@ -416,16 +434,68 @@ def test_cli_outcomes(capsys, tmp_path, monkeypatch, argv, files, exit_code,
         check(out, paths)
 
 
-def test_unknown_flag_is_rejected(capsys):
+def run_module(argv, hash_seed="0"):
+    """``python -m flipcert`` in a fresh interpreter, importing the same
+    flipcert package this test imported."""
+    package_root = str(pathlib.Path(fc.__file__).resolve().parent.parent)
+    return subprocess.run(
+        [sys.executable, "-m", "flipcert", *argv],
+        capture_output=True, text=True,
+        env={"PYTHONHASHSEED": hash_seed, "PATH": "/usr/bin:/bin",
+             "PYTHONPATH": package_root},
+    )
+
+
+def test_unknown_flag_is_rejected(capsys, tmp_path):
+    # and the shared parser still serves the next call, byte for byte
+    ppath = write_json(tmp_path / "p.json", CUBE_3)
+    cert_path = str(tmp_path / "cert.json")
+    assert main(["certify", ppath, "--output", cert_path]) == 0
+    before = run(capsys, ["verify", cert_path])
+    assert before[0] == 0
     with pytest.raises(SystemExit) as info:
         main(["reduce", "--unknown-flag", "1"])
     assert info.value.code == 2
+    capsys.readouterr()  # argparse's usage message
+    assert run(capsys, ["verify", cert_path]) == before
 
 
 @pytest.mark.parametrize("command", ["reduce", "certify"])
 def test_search_flags_default_to_reduction_options(command):
     args = build_parser().parse_args([command])
     assert _options_from_args(args) == fc.ReductionOptions()
+
+
+def test_parser_is_shared_and_keeps_no_flags(capsys, tmp_path):
+    assert build_parser() is build_parser()
+    ppath = write_json(tmp_path / "p.json", CUBE_3)
+    flagged = run(capsys, [
+        "certify", ppath, "--seed", "5", "--mode", "free", "--restarts", "2",
+    ])
+    args = build_parser().parse_args(["certify", ppath])
+    assert _options_from_args(args) == fc.ReductionOptions()
+    code, out, err = run(capsys, ["certify", ppath])
+    assert flagged[0] == code == 0 and flagged[1] != out
+    proc = run_module(["certify", ppath])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
+def test_module_entry_point(capsys, tmp_path):
+    proc = run_module(["examples"])
+    assert proc.returncode == 0
+    assert proc.stdout == run(capsys, ["examples"])[1]
+    assert set(json.loads(proc.stdout)) == set(fc.corpus())
+
+    ppath = write_json(tmp_path / "p.json", CUBE_3)
+    code, out, _ = run(capsys, ["certify", ppath])
+    assert code == 0
+    cert_doc = json.loads(out)
+    assert run_module(["verify", write_json(tmp_path / "good.json", cert_doc)]
+                      ).returncode == 0
+    cert_doc["steps"][0]["codimension"] += 1
+    proc = run_module(["verify", write_json(tmp_path / "bad.json", cert_doc)])
+    assert proc.returncode == 1
+    assert json.loads(proc.stderr)["code"] == "VerificationRefuted"
 
 
 def test_moves_flags_non_pseudomanifold_input(capsys, tmp_path):
@@ -510,22 +580,11 @@ def test_apply_accepts_reduce_output(capsys, tmp_path):
 def test_outputs_identical_across_processes(tmp_path):
     # separate interpreters get different hash seeds; normative orderings
     # must make the bytes identical anyway
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    # the child imports the same flipcert package this test imported
-    package_root = str(Path(fc.__file__).resolve().parent.parent)
     octa = fc.dual_complex(fc.named_polytope("cube-3")).complex
     kpath = write_json(tmp_path / "k.json", complex_to_doc(octa))
     outputs = []
     for seed_env in ("1", "2"):
-        proc = subprocess.run(
-            [sys.executable, "-m", "flipcert", "reduce", kpath, "--seed", "7"],
-            capture_output=True, text=True,
-            env={"PYTHONHASHSEED": seed_env, "PATH": "/usr/bin:/bin",
-                 "PYTHONPATH": package_root},
-        )
+        proc = run_module(["reduce", kpath, "--seed", "7"], seed_env)
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]

@@ -13,7 +13,10 @@ reference path it replaces.
   from the final one;
 - the face-table replay (``replay_f_vectors``) against sequential
   ``apply_move`` with ``f_vector`` on each state, on walks corrupted at one
-  move: the same endpoint and f-vectors, or the same ``ReplayFailure``.
+  move: the same endpoint and f-vectors, or the same ``ReplayFailure``;
+- the one-pass list check inside ``serialize.require`` against the
+  recursive ``require`` it replaced, on random JSON-like values: the same
+  value back, or the same ``MalformedDocument`` text.
 
 States come from random walks, in dimensions 1-5 and in both search modes,
 driven by the reference enumeration so the walk never trusts the code it
@@ -39,6 +42,7 @@ from flipcert.reduction import (
     f_vector_after,
     replay_f_vectors,
 )
+from flipcert.serialize import MalformedDocument, _kind_name, require
 from flipcert.surgery import build_ledger
 
 
@@ -339,3 +343,76 @@ def test_face_table_replay_matches_sequential_apply_move(walk):
 ])
 def test_face_table_replay_matches_apply_move_on_each_corruption(b5, move):
     assert table_replay(b5, [move]) == reference_replay(b5, [move])
+
+
+def reference_fits(value, kind):
+    """The recursive ``_fits``: one call per list element."""
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(
+            reference_fits(v, kind[0]) for v in value)
+    if isinstance(kind, tuple):
+        return any(reference_fits(value, k) for k in kind)
+    if kind is None:
+        return value is None
+    return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
+
+
+def reference_require(doc, key, kind, where):
+    if not isinstance(doc, dict) or key not in doc:
+        raise MalformedDocument(f"{where}: missing key {key!r}")
+    value = doc[key]
+    if not reference_fits(value, kind):
+        raise MalformedDocument(
+            f"{where}: {key!r} must be {_kind_name(kind)}, got {type(value).__name__}"
+        )
+    return value
+
+
+class Id(int):
+    """An int subclass that is no bool: it counts as an int."""
+
+
+#: The kinds the codecs ask ``require`` for.
+KINDS = [int, [int], [[int]], [str], (int, None), (str, None), list, dict, bool]
+
+INTISH = st.integers(-3, 3) | st.booleans() | st.builds(Id, st.integers(0, 3))
+SCALARS = INTISH | st.none() | st.floats(allow_nan=False) | st.text(max_size=2)
+VALUES = (
+    st.recursive(
+        SCALARS,
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+        max_leaves=12,
+    )
+    | st.lists(INTISH, max_size=4)
+    | st.lists(st.lists(INTISH, max_size=3), max_size=3)
+)
+
+#: Bools in int lists, wrong depths, floats, None elements, an int subclass.
+EDGE_VALUES = [
+    [], [[]], [0, 1], [0, True], [False], [[0, 1], [2]], [[0, True]], [True],
+    [[[0]]], [0, [1]], [[0], 1], [0.0], [[1.5]], [None], [0, None], [[None]],
+    [Id(4)], [[Id(4), 5]], ["a", "b"], ["a", 0], 0, True, None, "x", {},
+]
+
+
+def require_outcome(check, value, kind):
+    """True when ``check`` hands ``value`` back, else its error text."""
+    try:
+        return check({"v": value}, "v", kind, "doc") is value
+    except MalformedDocument as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(VALUES, st.sampled_from(KINDS))
+def test_require_matches_recursive_reference(value, kind):
+    assert (require_outcome(require, value, kind)
+            == require_outcome(reference_require, value, kind))
+
+
+def test_require_matches_recursive_reference_on_edge_cases():
+    for value in EDGE_VALUES:
+        for kind in KINDS:
+            assert (require_outcome(require, value, kind)
+                    == require_outcome(reference_require, value, kind)), (value, kind)
