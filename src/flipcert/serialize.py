@@ -51,18 +51,23 @@ def _kind_name(kind) -> str:
     return "null" if kind is None else kind.__name__
 
 
-def require(doc, key, kind, where):
-    """``doc[key]``, checked against ``kind``: a type, ``None`` for null,
+def fields(doc, where, /, **kinds) -> list:
+    """The values of ``doc`` at the keys of ``kinds``, checked in the order
+    given and returned in that order.  A kind is a type, ``None`` for null,
     ``[k]`` for a list of kind ``k`` or a tuple of alternatives.  Bools
     never count as ints.  A list of a plain type is checked in one pass."""
-    if not isinstance(doc, dict) or key not in doc:
-        raise MalformedDocument(f"{where}: missing key {key!r}")
-    value = doc[key]
-    if not _fits(value, kind):
-        raise MalformedDocument(
-            f"{where}: {key!r} must be {_kind_name(kind)}, got {type(value).__name__}"
-        )
-    return value
+    values = []
+    for key, kind in kinds.items():
+        if not isinstance(doc, dict) or key not in doc:
+            raise MalformedDocument(f"{where}: missing key {key!r}")
+        value = doc[key]
+        if not _fits(value, kind):
+            raise MalformedDocument(
+                f"{where}: {key!r} must be {_kind_name(kind)}, "
+                f"got {type(value).__name__}"
+            )
+        values.append(value)
+    return values
 
 
 # -- complexes ---------------------------------------------------------------
@@ -72,9 +77,7 @@ def complex_to_doc(k: Complex) -> dict:
 
 
 def complex_from_doc(doc) -> Complex:
-    dim = require(doc, "dim", int, "complex")
-    facets = require(doc, "facets", [[int]], "complex")
-    return Complex(dim, facets)
+    return Complex(*fields(doc, "complex", dim=int, facets=[[int]]))
 
 
 def complex_digest(k: Complex) -> str:
@@ -88,9 +91,7 @@ def move_to_doc(m: Move) -> dict:
 
 
 def move_from_doc(doc) -> Move:
-    move_type = require(doc, "type", int, "move")
-    sigma = require(doc, "sigma", [int], "move")
-    tau = require(doc, "tau", [int], "move")
+    move_type, sigma, tau = fields(doc, "move", type=int, sigma=[int], tau=[int])
     return Move(tuple(sorted(sigma)), tuple(sorted(tau)), move_type)
 
 
@@ -102,16 +103,18 @@ def move_sequence_to_doc(start: Complex, moves) -> dict:
 
 
 def move_sequence_from_doc(doc):
-    """Returns (start_hash or None, list of moves); accepts a bare list or a
-    whole reduction-result document."""
+    """Returns (start_hash or None, list of moves).  Accepts a bare list of
+    moves, a ``{"start_hash"?, "moves": [...]}`` sequence, or a document
+    holding one such sequence under ``"moves"`` (``reduce`` output)."""
     if isinstance(doc, list):
         return None, [move_from_doc(m) for m in doc]
-    if isinstance(doc, dict) and isinstance(doc.get("moves"), dict):
-        return move_sequence_from_doc(doc["moves"])
-    moves = require(doc, "moves", list, "move sequence")
-    start_hash = None
-    if "start_hash" in doc:
-        start_hash = require(doc, "start_hash", (str, None), "move sequence")
+    if isinstance(doc, dict):
+        if isinstance(doc.get("moves"), dict):
+            doc = doc["moves"]  # unwrapped once: deeper nesting is refused
+        doc = {"start_hash": None, **doc}  # the one optional key
+    moves, start_hash = fields(
+        doc, "move sequence", moves=list, start_hash=(str, None)
+    )
     return start_hash, [move_from_doc(m) for m in moves]
 
 
@@ -126,10 +129,9 @@ def polytope_to_doc(p: SimplePolytope) -> dict:
 
 
 def polytope_from_doc(doc) -> SimplePolytope:
-    dim = require(doc, "dim", int, "polytope")
-    facets = require(doc, "facets", [str], "polytope")
-    vertices = require(doc, "vertices", [[int]], "polytope")
-    return make_polytope(dim, facets, vertices)
+    return make_polytope(
+        *fields(doc, "polytope", dim=int, facets=[str], vertices=[[int]])
+    )
 
 
 # -- reduction results -------------------------------------------------------
@@ -155,9 +157,7 @@ def lambda_to_doc(pair: CharacteristicPair) -> dict:
 
 def lambda_from_doc(doc, polytope: SimplePolytope) -> CharacteristicPair:
     """Parse a characteristic matrix, checking its shape against ``polytope``."""
-    rows = require(doc, "rows", int, "lambda")
-    cols = require(doc, "cols", int, "lambda")
-    entries = require(doc, "entries", [[int]], "lambda")
+    rows, cols, entries = fields(doc, "lambda", rows=int, cols=int, entries=[[int]])
     if rows != len(entries) or any(len(row) != cols for row in entries):
         raise MalformedDocument(
             f"lambda: declared {rows}x{cols}, entries do not have that shape"

@@ -23,11 +23,11 @@ from .quasitoric import CharacteristicPair, ShapeMismatch, quotient_descriptor
 from .reduction import ReductionResult, ReplayFailure, replay_f_vectors
 from .serialize import (
     complex_digest,
+    fields,
     move_from_doc,
     move_to_doc,
     polytope_from_doc,
     polytope_to_doc,
-    require,
 )
 
 
@@ -420,47 +420,40 @@ def certificate_to_doc(cert: SurgeryCertificate) -> dict:
 
 
 def _step_from_doc(doc) -> SurgeryStep:
-    def field(key, kind):
-        return require(doc, key, kind, "step")
-    return SurgeryStep(  # keyword arguments are read, and checked, in order
-        index=field("index", int),
-        construction_type=field("construction_type", int),
-        sigma=tuple(sorted(field("sigma", [int]))),
-        tau=tuple(sorted(field("tau", [int]))),
-        codimension=field("codimension", int),
-        torus_rank_delta=field("torus_rank_delta", int),
-        post_f_vector=tuple(field("post_f_vector", [int])),
+    index, construction_type, sigma, tau, codim, delta, post = fields(
+        doc, "step", index=int, construction_type=int, sigma=[int], tau=[int],
+        codimension=int, torus_rank_delta=int, post_f_vector=[int],
+    )
+    return SurgeryStep(
+        index, construction_type, tuple(sorted(sigma)), tuple(sorted(tau)),
+        codim, delta, tuple(post),
     )
 
 
 def certificate_from_doc(doc) -> SurgeryCertificate:
     """Parse an untrusted certificate document, enforcing the schema only;
-    semantic claims are left to :func:`verify_certificate`."""
+    semantic claims are left to :func:`verify_certificate`.  Its own keys
+    are checked before the records nested in them."""
     try:
-        polytope = polytope_from_doc(require(doc, "polytope", dict, "certificate"))
-        dual_hash = require(doc, "dual_hash", str, "certificate")
-        moves = [
-            move_from_doc(m)
-            for m in require(doc, "reduction_moves", list, "certificate")
-        ]
-        steps = [
-            _step_from_doc(s) for s in require(doc, "steps", list, "certificate")
-        ]
-        stage_doc = require(doc, "base_stage", dict, "certificate")
-        stage = BaseStage(
-            sphere_dimension=require(stage_doc, "sphere_dimension", int, "base_stage"),
-            extra_circles=require(stage_doc, "extra_circles", int, "base_stage"),
+        (polytope, dual_hash, moves, steps, stage, min_codim, citations,
+         verified) = fields(
+            doc, "certificate", polytope=dict, dual_hash=str,
+            reduction_moves=list, steps=list, base_stage=dict,
+            min_codimension=(int, None), citations=[str], verified=bool,
         )
-        min_codim = require(doc, "min_codimension", (int, None), "certificate")
-        citations = require(doc, "citations", [str], "certificate")
-        verified = require(doc, "verified", bool, "certificate")
+        polytope = polytope_from_doc(polytope)
+        moves = tuple(move_from_doc(m) for m in moves)
+        steps = tuple(_step_from_doc(s) for s in steps)
+        stage = BaseStage(*fields(
+            stage, "base_stage", sphere_dimension=int, extra_circles=int
+        ))
     except InputError as exc:
         raise MalformedCertificate(str(exc))
     return SurgeryCertificate(
         polytope=polytope,
         dual_hash=dual_hash,
-        reduction_moves=tuple(moves),
-        steps=tuple(steps),
+        reduction_moves=moves,
+        steps=steps,
         base_stage=stage,
         min_codimension=min_codim,
         citations=tuple(citations),

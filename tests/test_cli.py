@@ -331,6 +331,10 @@ def _two_points(out, paths):
     assert json.loads(out) == {"dim": 0, "facets": [[0], [1]]}
 
 
+def _no_output(out, paths):
+    assert out == ""
+
+
 def _lists_every_type(out, paths):
     assert {m["type"] for m in json.loads(out)["moves"]} == {0, 1}
 
@@ -344,6 +348,10 @@ def cli_case(name, argv, files=None, exit_code=2, code=None, message="",
         id=name,
     )
 
+
+#: A ``--moves`` document nested 1,200 levels deep, past the recursion
+#: limit: refused by the JSON decoder or by the move-sequence decoder.
+DEEP_MOVES = '{"moves":' * 1200 + "[]" + "}" * 1200
 
 CLI_CASES = [
     cli_case("reduce-torus", ["reduce", "@k"],
@@ -380,6 +388,9 @@ CLI_CASES = [
              exit_code=1, code="ReplayFailure",
              message="move 0 failed: NotApplicable: type-0 tau must be a "
                      "single vertex, got (7, 8)"),
+    cli_case("apply-deep-moves", ["apply", "@k", "--moves", "-"],
+             {"@k": {"dim": 2, "facets": B5_FACETS}}, stdin=DEEP_MOVES,
+             code="MalformedDocument", check=_no_output),
     cli_case("moves-every-type", ["moves", "@k"],
              {"@k": {"dim": 1, "facets": SQUARE}}, exit_code=0,
              check=_lists_every_type),

@@ -14,9 +14,10 @@ reference path it replaces.
 - the face-table replay (``replay_f_vectors``) against sequential
   ``apply_move`` with ``f_vector`` on each state, on walks corrupted at one
   move: the same endpoint and f-vectors, or the same ``ReplayFailure``;
-- the one-pass list check inside ``serialize.require`` against the
-  recursive ``require`` it replaced, on random JSON-like values: the same
-  value back, or the same ``MalformedDocument`` text.
+- ``serialize.fields``, with its one-pass list check, against the
+  recursive per-key ``require`` it replaced, on random JSON-like values:
+  the same values back, or the first failing key's ``MalformedDocument``
+  text.
 
 States come from random walks, in dimensions 1-5 and in both search modes,
 driven by the reference enumeration so the walk never trusts the code it
@@ -42,7 +43,7 @@ from flipcert.reduction import (
     f_vector_after,
     replay_f_vectors,
 )
-from flipcert.serialize import MalformedDocument, _kind_name, require
+from flipcert.serialize import MalformedDocument, _kind_name, fields
 from flipcert.surgery import build_ledger
 
 
@@ -358,6 +359,7 @@ def reference_fits(value, kind):
 
 
 def reference_require(doc, key, kind, where):
+    """The per-key reader that ``fields`` replaced."""
     if not isinstance(doc, dict) or key not in doc:
         raise MalformedDocument(f"{where}: missing key {key!r}")
     value = doc[key]
@@ -372,7 +374,7 @@ class Id(int):
     """An int subclass that is no bool: it counts as an int."""
 
 
-#: The kinds the codecs ask ``require`` for.
+#: The kinds the codecs ask ``fields`` for.
 KINDS = [int, [int], [[int]], [str], (int, None), (str, None), list, dict, bool]
 
 INTISH = st.integers(-3, 3) | st.booleans() | st.builds(Id, st.integers(0, 3))
@@ -396,6 +398,11 @@ EDGE_VALUES = [
 ]
 
 
+def one_field(doc, key, kind, where):
+    (value,) = fields(doc, where, **{key: kind})
+    return value
+
+
 def require_outcome(check, value, kind):
     """True when ``check`` hands ``value`` back, else its error text."""
     try:
@@ -406,13 +413,37 @@ def require_outcome(check, value, kind):
 
 @settings(max_examples=300, deadline=None)
 @given(VALUES, st.sampled_from(KINDS))
-def test_require_matches_recursive_reference(value, kind):
-    assert (require_outcome(require, value, kind)
+def test_fields_matches_recursive_reference(value, kind):
+    assert (require_outcome(one_field, value, kind)
             == require_outcome(reference_require, value, kind))
 
 
-def test_require_matches_recursive_reference_on_edge_cases():
+def test_fields_matches_recursive_reference_on_edge_cases():
     for value in EDGE_VALUES:
         for kind in KINDS:
-            assert (require_outcome(require, value, kind)
+            assert (require_outcome(one_field, value, kind)
                     == require_outcome(reference_require, value, kind)), (value, kind)
+
+
+def read_outcome(read):
+    """The values ``read()`` returns, compared by identity, else its error
+    text."""
+    try:
+        return [id(value) for value in read()]
+    except MalformedDocument as exc:
+        return str(exc)
+
+
+#: ``doc`` and ``where`` name parameters of ``fields`` too.
+KEYS = ["a", "doc", "where"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.dictionaries(st.sampled_from(KEYS), VALUES, max_size=3) | VALUES,
+    st.lists(st.tuples(st.sampled_from(KEYS), st.sampled_from(KINDS)),
+             min_size=1, max_size=3, unique_by=lambda pair: pair[0]),
+)
+def test_fields_reads_keys_in_order_like_the_reference(doc, kinds):
+    assert read_outcome(lambda: fields(doc, "doc", **dict(kinds))) == read_outcome(
+        lambda: [reference_require(doc, key, kind, "doc") for key, kind in kinds])

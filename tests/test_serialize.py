@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -192,3 +193,29 @@ def test_start_hash_is_optional_and_may_be_null():
     moves = [move_to_doc(Move((4,), (0, 1, 2), 2))]
     assert move_sequence_from_doc({"moves": moves})[0] is None
     assert move_sequence_from_doc({"moves": moves, "start_hash": None})[0] is None
+
+
+def test_reduce_output_is_unwrapped_once(b5):
+    sequence = move_sequence_to_doc(b5, [Move((4,), (0, 1, 2), 2)])
+    assert (move_sequence_from_doc({"moves": sequence, "final": {}})
+            == move_sequence_from_doc(sequence))
+    with pytest.raises(MalformedDocument) as info:
+        move_sequence_from_doc({"moves": {"moves": {"moves": []}}})
+    assert str(info.value) == "move sequence: 'moves' must be list, got dict"
+
+
+def test_deep_move_sequence_is_refused_without_recursion():
+    doc = []
+    for _ in range(sys.getrecursionlimit() + 100):
+        doc = {"moves": doc}
+    with pytest.raises(MalformedDocument, match="'moves' must be list, got dict"):
+        move_sequence_from_doc(doc)
+
+
+def test_certificate_keys_are_checked_before_nested_records(corpus_certs):
+    doc = certificate_to_doc(corpus_certs["prism"][2])
+    doc["polytope"]["vertices"] = 1
+    del doc["verified"]
+    with pytest.raises(MalformedCertificate) as info:
+        certificate_from_doc(doc)
+    assert str(info.value) == "certificate: missing key 'verified'"
