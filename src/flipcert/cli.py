@@ -155,7 +155,7 @@ def _cmd_reduce(args) -> int:
 def _cmd_certify(args) -> int:
     polytope = _load(args.input, polytope_from_doc)
     pair = None
-    if args.lambda_path:  # fail fast, before any search effort
+    if args.lambda_path is not None:  # fail fast, before any search effort
         pair = _load(args.lambda_path, lambda_from_doc, polytope)
     dual = dual_complex(polytope)
     result = reduce_to_simplex(dual.complex, _options_from_args(args))
@@ -164,7 +164,7 @@ def _cmd_certify(args) -> int:
     cert = build_ledger(dual, result)
     _write(args.output, certificate_to_doc(cert))
     statement = psc_statement(cert, pair)
-    if args.statement:
+    if args.statement is not None:
         _write(args.statement, statement_to_doc(statement))
     return 0
 

@@ -105,7 +105,7 @@ def apply_move(k: Complex, m: Move) -> Complex:
             raise TauNotFresh(f"vertex {tau[0]} already in the support")
     elif detected.tau != tau:
         raise StaleTau(f"expected tau {detected.tau}, got {tau}")
-    return _rewrite(k, sigma, tau)
+    return _rewrite(k, join_boundary(sigma, tau), join_boundary(tau, sigma))
 
 
 def join_boundary(a, b) -> list:
@@ -114,12 +114,14 @@ def join_boundary(a, b) -> list:
     return [tuple(sorted(a + b[:j] + b[j + 1:])) for j in range(len(b))]
 
 
-def _rewrite(k: Complex, sigma, tau) -> Complex:
-    """Replace the star ``sigma * boundary(tau)`` by ``boundary(sigma) *
-    tau``, unchecked: only for a move just found applicable on ``k`` (by
-    ``apply_move``'s checks or by ``enumerate_moves``)."""
-    kept = set(k.facets).difference(join_boundary(sigma, tau))
-    return Complex._derived(k.dim, kept.union(join_boundary(tau, sigma)))
+def _rewrite(k: Complex, removed, added) -> Complex:
+    """``k`` without the facets ``removed`` and with ``added``, unchecked:
+    only for the net change of moves just found applicable on ``k`` (by
+    ``apply_move``'s checks, ``enumerate_moves`` or the greedy sweep); a
+    move ``(sigma, tau)`` removes ``join_boundary(sigma, tau)`` and adds
+    ``join_boundary(tau, sigma)``."""
+    kept = set(k.facets).difference(removed)
+    return Complex._derived(k.dim, kept.union(added))
 
 
 def inverse_move(m: Move) -> Move:

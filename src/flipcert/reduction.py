@@ -5,8 +5,10 @@ construction-direction sequence uses only types ``0..dim-1``.  The search is
 a greedy vertex-removal sweep interleaved with simulated annealing on the
 lexicographic cost (vertex count, then face counts from the top dimension
 down); failure after the step budget is a first-class result, never a
-fabricated certificate.  A recorded sequence replays on a face table: a
-move is accepted by lookups and recounts only the faces it rewrites.
+fabricated certificate.  A sweep lists the removable vertices once, then
+rechecks only the vertices of each removed vertex's link.  A recorded
+sequence replays on a face table: a move is accepted by lookups and
+recounts only the faces it rewrites.
 """
 
 import itertools
@@ -23,7 +25,7 @@ from .complexes import (
     is_pseudomanifold,
 )
 from .errors import FlipcertError, InputError
-from .moves import _rewrite, apply_move, enumerate_moves, join_boundary
+from .moves import Move, _rewrite, apply_move, enumerate_moves, join_boundary
 
 
 class BadInput(InputError):
@@ -105,16 +107,49 @@ def f_vector_after(f: tuple, move) -> tuple:
 
 
 def _greedy_vertex_removals(current, f, trail):
-    """Apply vertex-removing moves (type = dim) until none applies."""
+    """Apply vertex-removing moves (type = dim) until none applies, least
+    vertex first, as ``enumerate_moves(current, {dim})[0]`` would pick.
+
+    One listing starts the sweep; the sweep then keeps the facets, each
+    vertex's star (the facets holding it) and the removable vertices with
+    their ``tau``.  Removing ``v`` trades its star for the facet ``tau``,
+    so only the stars of ``tau``'s vertices change: those are rechecked,
+    and every vertex whose ``tau`` is now a facet is dropped.  No other
+    vertex becomes removable: its star is unchanged, and a removed facet
+    holds ``v``, which lies in the link of ``w`` only when ``w`` is in
+    ``tau``.  One ``Complex`` is built, at the end.
+    """
     top = current.dim
-    while True:
-        candidates = enumerate_moves(current, {top})
-        if not candidates:
-            return current, f
-        move = candidates[0]
-        current = _rewrite(current, move.sigma, move.tau)
+    listed = enumerate_moves(current, {top})
+    if not listed:
+        return current, f
+    removable = {m.sigma[0]: m.tau for m in listed}
+    facets = set(current.facets)
+    star = {}
+    for facet in facets:
+        for u in facet:
+            star.setdefault(u, set()).add(facet)
+    while removable:
+        v = min(removable)
+        tau = removable.pop(v)
+        for facet in star.pop(v):
+            facets.remove(facet)
+            for u in facet:
+                if u != v:
+                    star[u].remove(facet)
+        facets.add(tau)
+        removable = {u: t for u, t in removable.items() if t != tau}
+        for u in tau:
+            star[u].add(tau)
+            removable.pop(u, None)
+            rest = tuple(sorted(set().union(*star[u]) - {u}))
+            if len(star[u]) == len(rest) == top + 1 and rest not in facets:
+                removable[u] = rest
+        move = Move((v,), tau, top)
         f = f_vector_after(f, move)
         trail.append(move)
+    start = set(current.facets)
+    return _rewrite(current, start - facets, facets - start), f
 
 
 def _single_search(k, f, allowed, max_steps, rng):
@@ -142,7 +177,8 @@ def _single_search(k, f, allowed, max_steps, rng):
             if t <= 0 or rng.random() >= math.exp(-1.0 / t):
                 rejected += 1
                 continue
-        current = _rewrite(current, move.sigma, move.tau)
+        current = _rewrite(current, join_boundary(move.sigma, move.tau),
+                           join_boundary(move.tau, move.sigma))
         candidates = None
         trail.append(move)
         current, f = _greedy_vertex_removals(current, proposed, trail)

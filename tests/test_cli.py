@@ -417,6 +417,14 @@ CLI_CASES = [
              {"@p": SEGMENT, "@l": {"rows": 2, "cols": 2, "entries": [[1, 1]]}},
              code="MalformedDocument", location="@l",
              message="lambda: declared 2x2, entries do not have that shape"),
+    # an empty path names no file, as for check-freeness: not a skipped check
+    cli_case("certify-empty-lambda-path", ["certify", "@p", "--lambda", ""],
+             {"@p": CUBE_3}, code="IOError",
+             message="No such file or directory", check=_no_output),
+    cli_case("certify-empty-statement-path",
+             ["certify", "@p", "--lambda", "@l", "--statement", ""],
+             {"@p": CUBE_3, "@l": PAIRED_IDENTITY}, code="IOError",
+             message="No such file or directory"),
 ]
 
 

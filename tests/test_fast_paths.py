@@ -5,6 +5,10 @@ reference path it replaces.
   every face from ``faces_of_dimension``;
 - the search's closed-form f-vector update against ``f_vector`` of the
   rewritten complex;
+- the greedy sweep, which lists the removable vertices once and then
+  rechecks only the link of each removed vertex, against the first
+  top-type move of the reference enumeration applied by ``apply_move``
+  until none is left;
 - the trusted constructor ``Complex._derived``, and the ``link`` and
   ``_rewrite`` built on it, against the validating ``Complex(...)`` fed the
   same facets computed from scratch;
@@ -35,11 +39,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import flipcert as fc
 from flipcert.complexes import faces_of_dimension
 from flipcert.errors import FlipcertError
-from flipcert.moves import _rewrite
+from flipcert.moves import _rewrite, join_boundary
 from flipcert.reduction import (
     ReductionOptions,
     ReductionResult,
     ReplayFailure,
+    _greedy_vertex_removals,
     f_vector_after,
     replay_f_vectors,
 )
@@ -146,6 +151,41 @@ def assert_same_complex(fast, reference):
     assert fast == reference
 
 
+def reference_sweep(k):
+    """The first top-type move of the reference enumeration, applied by
+    ``apply_move``, until there is none: the endpoint and the moves."""
+    trail = []
+    while True:
+        candidates = reference_moves(k, {k.dim})
+        if not candidates:
+            return k, trail
+        trail.append(candidates[0])
+        k = fc.apply_move(k, candidates[0])
+
+
+@st.composite
+def stacked_states(draw):
+    """A walk state after up to 12 type-0 moves on drawn facets (vertex
+    truncations of the polytope): long sweeps, in which a removal can make
+    a vertex removable again or turn another vertex's tau into a facet."""
+    k, _ = draw(walk_states())
+    for choice in draw(st.lists(st.integers(0, 2**16), min_size=1, max_size=12)):
+        candidates = reference_moves(k, {0})
+        k = fc.apply_move(k, candidates[choice % len(candidates)])
+    return k
+
+
+@FAST
+@given(walk_states().map(lambda state: state[0]) | stacked_states())
+def test_greedy_sweep_matches_reference(k):
+    trail = [None]  # the sweep appends to the search's trail
+    final, f = _greedy_vertex_removals(k, fc.f_vector(k), trail)
+    reference, reference_trail = reference_sweep(k)
+    assert_same_complex(final, reference)
+    assert f == fc.f_vector(reference)
+    assert trail == [None] + reference_trail
+
+
 @FAST
 @given(walk_states(), st.integers(0, 2**16))
 def test_derived_matches_validating_constructor(state, seed):
@@ -180,7 +220,9 @@ def test_rewrite_matches_apply_move(state):
     k, _ = state
     for m in fc.enumerate_moves(k, set(range(k.dim + 1))):  # type 0 too
         reference = rewritten(k, m)
-        assert_same_complex(_rewrite(k, m.sigma, m.tau), reference)
+        removed = join_boundary(m.sigma, m.tau)
+        added = join_boundary(m.tau, m.sigma)
+        assert_same_complex(_rewrite(k, removed, added), reference)
         assert_same_complex(fc.apply_move(k, m), reference)
 
 

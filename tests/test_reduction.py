@@ -62,6 +62,33 @@ def test_annealing_enumerates_each_state_once(monkeypatch, name):
         assert previous is None or state is None or previous != state
 
 
+def test_greedy_sweep_lists_the_top_type_once(monkeypatch):
+    # within one restart each greedy sweep makes one top-type listing and
+    # then rechecks only the removed vertices' links, never listing again
+    from flipcert import reduction
+
+    original_enumerate = reduction.enumerate_moves
+    original_sweep = reduction._greedy_vertex_removals
+    listings, sweeps = [], []
+
+    def enumerate_counted(k, types):
+        if set(types) == {k.dim}:
+            listings.append(k)
+        return original_enumerate(k, types)
+
+    def sweep_counted(*args):
+        sweeps.append(args[0])
+        return original_sweep(*args)
+
+    monkeypatch.setattr(reduction, "enumerate_moves", enumerate_counted)
+    monkeypatch.setattr(reduction, "_greedy_vertex_removals", sweep_counted)
+    k = fc.dual_complex(fc.named_polytope("dodecahedron")).complex
+    result = fc.reduce_to_simplex(k, ReductionOptions(rng_seed=0, restarts=1))
+    assert result.succeeded
+    removals = sum(m.move_type == k.dim for m in result.moves)
+    assert removals and listings == sweeps
+
+
 def test_reduce_octahedron(octahedron):
     result = fc.reduce_to_simplex(octahedron, ReductionOptions())
     assert result.succeeded
