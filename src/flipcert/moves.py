@@ -5,9 +5,13 @@ A move of type ``i`` on a complex of dimension ``n-1`` rewrites the star of a
 ``tau`` not already present: the facets containing ``sigma`` are replaced by
 ``{s ∪ tau : s in boundary(sigma)}``.  Type 0 introduces a fresh vertex, type
 ``n-1`` deletes one, and the inverse move swaps the roles of ``sigma`` and
-``tau``.
+``tau``.  This module alone decides which move sequences are valid: a
+sequence replays on a face table, accepting a move by lookups and
+recounting only the faces it rewrites.  The checker, ``surgery``, takes
+the replay from here and never imports the search.
 """
 
+import itertools
 from dataclasses import dataclass
 from functools import reduce
 from operator import and_
@@ -22,7 +26,7 @@ from .complexes import (
     is_boundary_of_simplex,
     link,
 )
-from .errors import InputError
+from .errors import FlipcertError, InputError
 
 
 class NotApplicable(InputError):
@@ -35,6 +39,13 @@ class StaleTau(InputError):
 
 class TauNotFresh(InputError):
     pass
+
+
+class ReplayFailure(FlipcertError):
+    def __init__(self, index: int, reason: Exception):
+        self.index = index
+        self.reason = reason
+        super().__init__(f"move {index} failed: {type(reason).__name__}: {reason}")
 
 
 @dataclass(frozen=True)
@@ -172,3 +183,58 @@ def enumerate_moves(k: Complex, allowed_types) -> list:
                 continue
             out.append(Move(sigma, tuple(sorted(rest)), i))
     return out
+
+
+def _recount(table, f, added, removed):
+    """Count the faces of the ``added`` facets into the face table, then of
+    the ``removed`` ones out; a count crossing zero changes ``f``."""
+    for d in range(len(f)):
+        change = 0
+        for facet in added:
+            for face in itertools.combinations(facet, d + 1):
+                count = table.get(face, 0)
+                if not count:
+                    change += 1
+                table[face] = count + 1
+        for facet in removed:
+            for face in itertools.combinations(facet, d + 1):
+                count = table.pop(face) - 1
+                if count:
+                    table[face] = count
+                else:
+                    change -= 1
+        f[d] += change
+
+
+def replay_f_vectors(k: Complex, moves) -> tuple:
+    """Apply a recorded move sequence; return its endpoint and the f-vector
+    of the complex each move starts from, or raise ``ReplayFailure`` at the
+    first move that does not apply.  The face table, built only when there
+    is a move, maps each non-empty face to its number of facets: a move
+    ``(sigma, tau)`` of type ``i`` applies, as in ``apply_move``, iff
+    ``sigma`` lies in ``i + 1`` facets, ``tau`` has ``i + 1`` vertices and
+    is not a face, and ``sigma * boundary(tau)`` consists of facets."""
+    if not moves:
+        return k, []
+    facets, table, f = set(k.facets), {}, [0] * (k.dim + 1)
+    _recount(table, f, facets, ())
+    pre_f_vectors = []
+    for index, move in enumerate(moves):
+        try:
+            sigma, tau = as_simplex(move.sigma), as_simplex(move.tau)
+            removed = join_boundary(sigma, tau)
+            # a vertex sigma and tau share makes the type-0 tau a face, or
+            # repeats in some sigma + (tau - v), which is then no facet
+            if not (move.move_type == k.dim + 1 - len(sigma) == len(tau) - 1
+                    and table.get(sigma) == len(tau) and tau not in table
+                    and facets.issuperset(removed)):
+                apply_move(Complex(k.dim, facets), move)  # raises the reason
+                raise AssertionError(f"the face table rejects move {index}")
+        except FlipcertError as exc:
+            raise ReplayFailure(index, exc)
+        pre_f_vectors.append(tuple(f))
+        added = join_boundary(tau, sigma)
+        facets.difference_update(removed)
+        facets.update(added)
+        _recount(table, f, added, removed)
+    return Complex(k.dim, facets), pre_f_vectors

@@ -6,9 +6,9 @@ a greedy vertex-removal sweep interleaved with simulated annealing on the
 lexicographic cost (vertex count, then face counts from the top dimension
 down); failure after the step budget is a first-class result, never a
 fabricated certificate.  A sweep lists the removable vertices once, then
-rechecks only the vertices of each removed vertex's link.  A recorded
-sequence replays on a face table: a move is accepted by lookups and
-recounts only the faces it rewrites.
+rechecks only the vertices of each removed vertex's link.  ``replay`` is
+``moves.replay_f_vectors`` without the f-vectors; it keeps its name here
+because ``cli apply``, ``flipcert.replay`` and the benchmark tracer use it.
 """
 
 import itertools
@@ -17,26 +17,20 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .complexes import (
-    Complex,
-    as_simplex,
-    f_vector,
-    is_boundary_of_simplex,
-    is_pseudomanifold,
-)
+from .complexes import Complex, f_vector, is_boundary_of_simplex, is_pseudomanifold
 from .errors import FlipcertError, InputError
-from .moves import Move, _rewrite, apply_move, enumerate_moves, join_boundary
+from .moves import (
+    Move,
+    _rewrite,
+    apply_move,
+    enumerate_moves,
+    join_boundary,
+    replay_f_vectors,
+)
 
 
 class BadInput(InputError):
     pass
-
-
-class ReplayFailure(FlipcertError):
-    def __init__(self, index: int, reason: Exception):
-        self.index = index
-        self.reason = reason
-        super().__init__(f"move {index} failed: {type(reason).__name__}: {reason}")
 
 
 class SearchExhausted(FlipcertError):
@@ -218,61 +212,6 @@ def reduce_to_simplex(k: Complex, opts=ReductionOptions()) -> ReductionResult:
             break
     _, moves, final = best
     return ReductionResult(moves, final, is_boundary_of_simplex(final), examined)
-
-
-def _recount(table, f, added, removed):
-    """Count the faces of the ``added`` facets into the face table, then of
-    the ``removed`` ones out; a count crossing zero changes ``f``."""
-    for d in range(len(f)):
-        change = 0
-        for facet in added:
-            for face in itertools.combinations(facet, d + 1):
-                count = table.get(face, 0)
-                if not count:
-                    change += 1
-                table[face] = count + 1
-        for facet in removed:
-            for face in itertools.combinations(facet, d + 1):
-                count = table.pop(face) - 1
-                if count:
-                    table[face] = count
-                else:
-                    change -= 1
-        f[d] += change
-
-
-def replay_f_vectors(k: Complex, moves) -> tuple:
-    """Apply a recorded move sequence; return its endpoint and the f-vector
-    of the complex each move starts from, or raise ``ReplayFailure`` at the
-    first move that does not apply.  The face table, built only when there
-    is a move, maps each non-empty face to its number of facets: a move
-    ``(sigma, tau)`` of type ``i`` applies, as in ``apply_move``, iff
-    ``sigma`` lies in ``i + 1`` facets, ``tau`` has ``i + 1`` vertices and
-    is not a face, and ``sigma * boundary(tau)`` consists of facets."""
-    if not moves:
-        return k, []
-    facets, table, f = set(k.facets), {}, [0] * (k.dim + 1)
-    _recount(table, f, facets, ())
-    pre_f_vectors = []
-    for index, move in enumerate(moves):
-        try:
-            sigma, tau = as_simplex(move.sigma), as_simplex(move.tau)
-            removed = join_boundary(sigma, tau)
-            # a vertex sigma and tau share makes the type-0 tau a face, or
-            # repeats in some sigma + (tau - v), which is then no facet
-            if not (move.move_type == k.dim + 1 - len(sigma) == len(tau) - 1
-                    and table.get(sigma) == len(tau) and tau not in table
-                    and facets.issuperset(removed)):
-                apply_move(Complex(k.dim, facets), move)  # raises the reason
-                raise AssertionError(f"the face table rejects move {index}")
-        except FlipcertError as exc:
-            raise ReplayFailure(index, exc)
-        pre_f_vectors.append(tuple(f))
-        added = join_boundary(tau, sigma)
-        facets.difference_update(removed)
-        facets.update(added)
-        _recount(table, f, added, removed)
-    return Complex(k.dim, facets), pre_f_vectors
 
 
 def replay(k: Complex, moves) -> Complex:

@@ -14,7 +14,6 @@ from .errors import InputError
 from .moves import Move
 from .polytopes import SimplePolytope, make_polytope
 from .quasitoric import CharacteristicPair
-from .reduction import ReductionResult
 
 
 class MalformedDocument(InputError):
@@ -136,7 +135,8 @@ def polytope_from_doc(doc) -> SimplePolytope:
 
 # -- reduction results -------------------------------------------------------
 
-def reduction_result_to_doc(start: Complex, result: ReductionResult) -> dict:
+def reduction_result_to_doc(start: Complex, result) -> dict:
+    """Reads a ``ReductionResult``'s succeeded, steps_examined, moves, final."""
     return {
         "succeeded": result.succeeded,
         "steps_examined": result.steps_examined,

@@ -17,10 +17,9 @@ from typing import Optional
 
 from .complexes import is_boundary_of_simplex
 from .errors import FlipcertError, InputError
-from .moves import inverse_move
+from .moves import ReplayFailure, inverse_move, replay_f_vectors
 from .polytopes import DualComplexMap, SimplePolytope, dual_complex
 from .quasitoric import CharacteristicPair, ShapeMismatch, quotient_descriptor
-from .reduction import ReductionResult, ReplayFailure, replay_f_vectors
 from .serialize import (
     complex_digest,
     fields,
@@ -106,9 +105,10 @@ def codimension_for(n: int, construction_type: int) -> int:
     return 2 * n - 2 * construction_type
 
 
-def build_ledger(dual: DualComplexMap, result: ReductionResult) -> SurgeryCertificate:
-    """Translate a reduction whose ``final`` is a simplex boundary, whatever
-    its ``succeeded`` flag says, into the construction-direction surgery chain.
+def build_ledger(dual: DualComplexMap, result) -> SurgeryCertificate:
+    """Translate a reduction whose ``final`` is a simplex boundary into the
+    construction-direction surgery chain.  Of the ``ReductionResult`` it reads
+    only ``moves`` and ``final``, never the ``succeeded`` flag.
 
     One face-table replay from the dual checks the moves, must end on
     ``result.final``, proving the moves reach it, and counts the faces of every

@@ -39,14 +39,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import flipcert as fc
 from flipcert.complexes import faces_of_dimension
 from flipcert.errors import FlipcertError
-from flipcert.moves import _rewrite, join_boundary
+from flipcert.moves import ReplayFailure, _rewrite, join_boundary, replay_f_vectors
 from flipcert.reduction import (
     ReductionOptions,
     ReductionResult,
-    ReplayFailure,
     _greedy_vertex_removals,
     f_vector_after,
-    replay_f_vectors,
 )
 from flipcert.serialize import MalformedDocument, _kind_name, fields
 from flipcert.surgery import build_ledger
@@ -236,6 +234,29 @@ def test_only_link_and_rewrite_use_the_trusted_constructor():
                     if isinstance(node, ast.Attribute) and node.attr == "_derived":
                         callers.add((path.name, function.name))
     assert callers == {("complexes.py", "link"), ("moves.py", "_rewrite")}
+
+
+def test_the_checker_never_imports_the_search():
+    # a certificate is sound because verify replays every move on its own:
+    # no module that surgery reaches through package-relative imports, at any
+    # depth in the file, may import the search, not even for an annotation
+    graph = {}
+    for path in pathlib.Path(fc.__file__).parent.glob("*.py"):
+        names = graph.setdefault(path.stem, set())
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module:
+                    names.add(node.module.split(".")[0])
+                else:  # from . import serialize
+                    names.update(alias.name for alias in node.names)
+    reached, frontier = set(), ["surgery"]
+    while frontier:
+        module = frontier.pop()
+        if module not in reached:
+            reached.add(module)
+            frontier.extend(graph[module])
+    assert "reduction" not in reached
+    assert {"serialize", "moves", "polytopes", "quasitoric", "complexes"} < reached
 
 
 def backward_post_f_vectors(dual, result):

@@ -1,11 +1,10 @@
 import pytest
 
 import flipcert as fc
-from flipcert.moves import Move
+from flipcert.moves import Move, ReplayFailure
 from flipcert.reduction import (
     BadInput,
     ReductionOptions,
-    ReplayFailure,
     canonical_form,
 )
 

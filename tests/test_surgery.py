@@ -229,7 +229,7 @@ def test_empty_chain_never_counts_faces(monkeypatch):
 
     dual = fc.dual_complex(fc.simplex_polytope(22))
     result = ReductionResult((), dual.complex, True, 0)
-    monkeypatch.setattr("flipcert.reduction._recount", refuse)
+    monkeypatch.setattr("flipcert.moves._recount", refuse)
     calls = count_f_vector_calls(monkeypatch, refuse)
     cert = build_ledger(dual, result)
     assert cert.steps == ()
@@ -243,7 +243,7 @@ def test_empty_chain_builds_no_face_table(monkeypatch):
     def refuse(*args):
         raise AssertionError("face table built for an empty chain")
 
-    monkeypatch.setattr("flipcert.reduction._recount", refuse)
+    monkeypatch.setattr("flipcert.moves._recount", refuse)
     start = time.perf_counter()
     dual = fc.dual_complex(fc.simplex_polytope(24))
     assert fc.replay(dual.complex, []) is dual.complex
@@ -253,26 +253,45 @@ def test_empty_chain_builds_no_face_table(monkeypatch):
     assert time.perf_counter() - start < 0.5
 
 
-def test_only_the_search_uses_the_closed_form(monkeypatch, corpus_certs):
-    # ledger and verify take their f-vectors from the face-table replay;
-    # the closed form is the search's fast path, checked against it in tests
+@pytest.mark.parametrize("path", (
+    "reduction.f_vector_after",
+    "moves.enumerate_moves",
+    "moves._rewrite",
+    "reduction._greedy_vertex_removals",
+    "reduction.reduce_to_simplex",
+))
+def test_the_checker_never_runs_the_search(monkeypatch, corpus_certs, path):
+    # ledger and verify take their f-vectors and their verdicts from the
+    # face-table replay alone, on sound and on mutated certificates; the
+    # replay may call apply_move and is_applicable to name a rejected move's
+    # reason, but none of the search's paths
     import sys
 
-    from flipcert import reduction
-
     def refuse(*args):
-        raise AssertionError("f_vector_after called outside the search")
+        raise AssertionError(f"{path} called outside the search")
 
-    original = reduction.f_vector_after
+    owner, name = path.split(".")
+    original = getattr(sys.modules[f"flipcert.{owner}"], name)
     patched = []
-    for name, module in list(sys.modules.items()):
-        if (name.startswith("flipcert")
-                and getattr(module, "f_vector_after", None) is original):
-            monkeypatch.setattr(module, "f_vector_after", refuse)
-            patched.append(name)
-    assert "flipcert.reduction" in patched
+    for module_name, module in list(sys.modules.items()):
+        if (module_name.startswith("flipcert")
+                and getattr(module, name, None) is original):
+            monkeypatch.setattr(module, name, refuse)
+            patched.append(module_name)
+    assert f"flipcert.{owner}" in patched
+    refuted = 0
     for dual, result, _ in corpus_certs.values():
-        assert verify_certificate(build_ledger(dual, result)).established
+        cert = build_ledger(dual, result)
+        assert verify_certificate(cert).established
+        doc = certificate_to_doc(cert)
+        for label, mutate in certificate_mutation_sites(doc):
+            try:
+                parsed = certificate_from_doc(mutate(doc))
+            except (MalformedCertificate, InputError):
+                continue
+            assert not verify_certificate(parsed).established, label
+            refuted += 1
+    assert refuted
 
 
 def test_build_ledger_counts_faces_at_most_once(monkeypatch):
