@@ -5,8 +5,9 @@ construction-direction sequence uses only types ``0..dim-1``.  The search is
 a greedy vertex-removal sweep interleaved with simulated annealing on the
 lexicographic cost (vertex count, then face counts from the top dimension
 down); failure after the step budget is a first-class result, never a
-fabricated certificate.  A sweep lists the removable vertices once, then
-rechecks only the vertices of each removed vertex's link.  ``replay`` is
+fabricated certificate.  The sweep owns vertex removal (type ``dim``) and
+keeps only vertex stars; annealing runs only on states the sweep leaves
+without such a move, so it draws the lower types alone.  ``replay`` is
 ``moves.replay_f_vectors`` without the f-vectors; it keeps its name here
 because ``cli apply``, ``flipcert.replay`` and the benchmark tracer use it.
 """
@@ -104,46 +105,43 @@ def _greedy_vertex_removals(current, f, trail):
     """Apply vertex-removing moves (type = dim) until none applies, least
     vertex first, as ``enumerate_moves(current, {dim})[0]`` would pick.
 
-    One listing starts the sweep; the sweep then keeps the facets, each
-    vertex's star (the facets holding it) and the removable vertices with
-    their ``tau``.  Removing ``v`` trades its star for the facet ``tau``,
-    so only the stars of ``tau``'s vertices change: those are rechecked,
-    and every vertex whose ``tau`` is now a facet is dropped.  No other
-    vertex becomes removable: its star is unchanged, and a removed facet
-    holds ``v``, which lies in the link of ``w`` only when ``w`` is in
-    ``tau``.  One ``Complex`` is built, at the end.
+    One listing starts the sweep, which then keeps only each vertex's star
+    (the facets holding it) and the removable vertices with their ``tau``.
+    Removing ``v`` trades its star for the facet ``tau``, so only the stars
+    of ``tau``'s vertices change: those are rechecked, a set other than
+    ``tau`` being a facet iff its first vertex's star holds it, and every
+    vertex whose ``tau`` is now a facet is dropped.  No other vertex becomes
+    removable: its star is unchanged, and a removed facet holds ``v``, which
+    lies in the link of ``w`` only when ``w`` is in ``tau``.  One
+    ``Complex`` is built, at the end, from the union of the stars.
     """
     top = current.dim
     listed = enumerate_moves(current, {top})
     if not listed:
         return current, f
     removable = {m.sigma[0]: m.tau for m in listed}
-    facets = set(current.facets)
     star = {}
-    for facet in facets:
+    for facet in current.facets:
         for u in facet:
             star.setdefault(u, set()).add(facet)
     while removable:
         v = min(removable)
         tau = removable.pop(v)
         for facet in star.pop(v):
-            facets.remove(facet)
             for u in facet:
                 if u != v:
                     star[u].remove(facet)
-        facets.add(tau)
         removable = {u: t for u, t in removable.items() if t != tau}
         for u in tau:
             star[u].add(tau)
             removable.pop(u, None)
-            rest = tuple(sorted(set().union(*star[u]) - {u}))
-            if len(star[u]) == len(rest) == top + 1 and rest not in facets:
+            rest = tuple(sorted(set().union(*star[u]) - {u}))  # not tau
+            if len(star[u]) == len(rest) == top + 1 and rest not in star[rest[0]]:
                 removable[u] = rest
         move = Move((v,), tau, top)
         f = f_vector_after(f, move)
         trail.append(move)
-    start = set(current.facets)
-    return _rewrite(current, start - facets, facets - start), f
+    return _rewrite(current, current.facets, set().union(*star.values())), f
 
 
 def _single_search(k, f, allowed, max_steps, rng):
@@ -197,7 +195,7 @@ def reduce_to_simplex(k: Complex, opts=ReductionOptions()) -> ReductionResult:
         raise BadInput("invalid search options")
     f = _check_sphere_candidate(k)
     lowest = 1 if opts.mode == "strict" else 0
-    allowed = set(range(lowest, k.dim + 1))
+    allowed = set(range(lowest, k.dim))  # the sweep owns type dim
     if is_boundary_of_simplex(k):
         return ReductionResult((), k, True, 0)
     best = None

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import pathlib
@@ -17,7 +18,7 @@ from flipcert.serialize import (
 from flipcert.moves import Move
 from flipcert.surgery import certificate_to_doc
 
-from conftest import B5_FACETS
+from conftest import B5_FACETS, certificate_mutation_sites
 
 
 def run(capsys, argv):
@@ -607,3 +608,72 @@ def test_outputs_identical_across_processes(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
+
+
+def corrupted_sequences(sequence):
+    """Each move of a move-sequence document broken one way at a time:
+    sigma shifted, tau grown, type bumped, move deleted, sigma/tau swapped."""
+    edits = {
+        "sigma shifted": lambda m: [{**m, "sigma": [v + 1 for v in m["sigma"]]}],
+        "tau grown": lambda m: [{**m, "tau": m["tau"] + [max(m["tau"]) + 1]}],
+        "type bumped": lambda m: [{**m, "type": m["type"] + 1}],
+        "deleted": lambda m: [],
+        "swapped": lambda m: [{**m, "sigma": m["tau"], "tau": m["sigma"]}],
+    }
+    moves = sequence["moves"]
+    for i, move in enumerate(moves):
+        for label, edit in edits.items():
+            broken = moves[:i] + edit(move) + moves[i + 1:]
+            yield f"move {i} {label}", {**sequence, "moves": broken}
+
+
+# SHA-256 of the in-process transcript below: a change that keeps the
+# command line's behaviour keeps every byte of it, and one meant to alter it
+# pins the new value and says why
+TRANSCRIPT_DIGEST = (
+    "0f97977068ecc77f149e866e898a57693b6d02f604d1625265696a966effdf9a"
+)
+
+
+def test_cli_transcript_is_pinned(capsys, tmp_path, monkeypatch):
+    # build-dual, moves, reduce in both modes, certify, verify and apply on
+    # the corpus, then verify on every certificate mutation and apply on
+    # every corrupted move: labels, exit codes, stdout and stderr
+    monkeypatch.chdir(tmp_path)
+    transcript = hashlib.sha256()
+    codes = []
+
+    def call(label, argv):
+        code, out, err = run(capsys, argv)
+        codes.append(code)
+        record = json.dumps([label, code, out, err])
+        transcript.update(record.encode() + b"\n")
+        return out
+
+    def dump(path, doc):
+        pathlib.Path(path).write_text(json.dumps(doc))
+
+    for name, polytope in sorted(fc.corpus().items()):
+        dump("p.json", polytope_to_doc(polytope))
+        dump("k.json", json.loads(call(f"{name} build-dual",
+                                       ["build-dual", "p.json"])))
+        call(f"{name} moves", ["moves", "k.json"])
+        for mode in ("strict", "free"):
+            result = json.loads(call(f"{name} reduce {mode}",
+                                     ["reduce", "k.json", "--mode", mode]))
+            dump("m.json", result["moves"])
+            call(f"{name} apply {mode}", ["apply", "k.json", "--moves", "m.json"])
+            for label, sequence in corrupted_sequences(result["moves"]):
+                dump("m.json", sequence)
+                call(f"{name} apply {mode} {label}",
+                     ["apply", "k.json", "--moves", "m.json"])
+        cert = json.loads(call(f"{name} certify", ["certify", "p.json"]))
+        dump("c.json", cert)
+        call(f"{name} verify", ["verify", "c.json"])
+        for label, mutate in certificate_mutation_sites(cert):
+            dump("c.json", mutate(cert))
+            call(f"{name} verify {label}", ["verify", "c.json"])
+    assert {code: codes.count(code) for code in (0, 1, 2)} == {
+        0: 89, 1: 1041, 2: 181,
+    }
+    assert transcript.hexdigest() == TRANSCRIPT_DIGEST

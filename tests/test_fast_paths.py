@@ -5,10 +5,12 @@ reference path it replaces.
   every face from ``faces_of_dimension``;
 - the search's closed-form f-vector update against ``f_vector`` of the
   rewritten complex;
-- the greedy sweep, which lists the removable vertices once and then
-  rechecks only the link of each removed vertex, against the first
-  top-type move of the reference enumeration applied by ``apply_move``
-  until none is left;
+- the greedy sweep, which owns vertex removal (type ``dim``), lists the
+  removable vertices once and then keeps only vertex stars, rechecking the
+  link of each removed vertex, against the first top-type move of the
+  reference enumeration applied by ``apply_move`` until none is left; and
+  every state annealing lists, with the lower types alone, against that
+  reference: it has no top-type move;
 - the trusted constructor ``Complex._derived``, and the ``link`` and
   ``_rewrite`` built on it, against the validating ``Complex(...)`` fed the
   same facets computed from scratch;
@@ -25,7 +27,8 @@ reference path it replaces.
 
 States come from random walks, in dimensions 1-5 and in both search modes,
 driven by the reference enumeration so the walk never trusts the code it
-checks.
+checks.  The other way round, the search must succeed with the reference
+paths refusing.
 """
 
 import ast
@@ -185,6 +188,32 @@ def test_greedy_sweep_matches_reference(k):
 
 
 @FAST
+@given(walk_states().filter(lambda state: state[0].dim >= 2))
+def test_annealing_never_lists_a_state_with_a_top_type_move(state):
+    # every state annealing lists is one a sweep left, so the top type, which
+    # the sweep owns, is missing from its allowed types at no cost: the list
+    # rng.choice draws from, and with it every trajectory, is unchanged
+    from flipcert import reduction
+
+    k, types = state
+    original = reduction.enumerate_moves
+    annealed = []
+
+    def enumerate_logged(current, allowed):
+        if set(allowed) != {current.dim}:
+            annealed.append((current, set(allowed)))
+        return original(current, allowed)
+
+    mode = "strict" if min(types) else "free"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reduction, "enumerate_moves", enumerate_logged)
+        fc.reduce_to_simplex(k, ReductionOptions(mode=mode, max_steps=20, restarts=1))
+    for listed, allowed in annealed:
+        assert allowed == types - {k.dim}
+        assert original(listed, {k.dim}) == reference_moves(listed, {k.dim}) == []
+
+
+@FAST
 @given(walk_states(), st.integers(0, 2**16))
 def test_derived_matches_validating_constructor(state, seed):
     k, _ = state
@@ -257,6 +286,33 @@ def test_the_checker_never_imports_the_search():
             frontier.extend(graph[module])
     assert "reduction" not in reached
     assert {"serialize", "moves", "polytopes", "quasitoric", "complexes"} < reached
+
+
+def test_the_search_never_runs_the_reference_path(monkeypatch):
+    # the search lists, applies and sweeps moves on its own fast paths: with
+    # the validating apply_move and is_applicable, and the facet scans link
+    # and has_face, refusing in every namespace, every search still succeeds
+    import sys
+
+    from flipcert import complexes, moves
+
+    for owner, name in ((moves, "apply_move"), (moves, "is_applicable"),
+                        (complexes, "link"), (complexes, "has_face")):
+        original = getattr(owner, name)
+
+        def refuse(*args, name=name):
+            raise AssertionError(f"the search ran the reference {name}")
+
+        for module_name, module in list(sys.modules.items()):
+            if (module_name.startswith("flipcert")
+                    and getattr(module, name, None) is original):
+                monkeypatch.setattr(module, name, refuse)
+        assert getattr(owner, name) is refuse
+    spheres = [fc.dual_complex(p).complex for p in fc.corpus().values()]
+    spheres.append(relabel(fc.dual_complex(fc.named_polytope("cube-4")).complex, 5))
+    for k in spheres:
+        for mode in ("strict", "free"):
+            assert fc.reduce_to_simplex(k, ReductionOptions(mode=mode)).succeeded
 
 
 def backward_post_f_vectors(dual, result):

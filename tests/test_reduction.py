@@ -30,62 +30,56 @@ def test_reduce_bipyramid_single_move(b5):
     assert fc.is_boundary_of_simplex(result.final)
 
 
-@pytest.mark.parametrize("name", ("cube-4", "cube-5"))
-def test_annealing_enumerates_each_state_once(monkeypatch, name):
-    # a rejected uphill proposal keeps the candidate list, so within one
-    # restart the annealing loop never enumerates the same complex twice in
-    # a row (the greedy sweep asks for the top type alone)
-    from flipcert import reduction
-
-    original_enumerate = reduction.enumerate_moves
-    original_search = reduction._single_search
-    calls = []
-
-    def enumerate_counted(k, types):
-        calls.append((k, frozenset(types)))
-        return original_enumerate(k, types)
-
-    def search_marked(*args):
-        calls.append(None)  # a restart begins
-        return original_search(*args)
-
-    monkeypatch.setattr(reduction, "enumerate_moves", enumerate_counted)
-    monkeypatch.setattr(reduction, "_single_search", search_marked)
-    k = fc.dual_complex(fc.named_polytope(name)).complex
-    result = fc.reduce_to_simplex(k, ReductionOptions(rng_seed=0))
-    assert result.succeeded
-    annealing = frozenset(range(1, k.dim + 1))
-    states = [c if c is None else c[0] for c in calls if c is None or c[1] == annealing]
-    assert states.count(None) >= 1 and len(states) > 2 * states.count(None)
-    for previous, state in zip(states, states[1:]):
-        assert previous is None or state is None or previous != state
-
-
-def test_greedy_sweep_lists_the_top_type_once(monkeypatch):
-    # within one restart each greedy sweep makes one top-type listing and
-    # then rechecks only the removed vertices' links, never listing again
+@pytest.mark.parametrize("name, mode", [
+    ("cube-4", "strict"), ("cube-5", "strict"), ("dodecahedron", "strict"),
+    ("cube-4", "free"),
+])
+def test_sweep_and_annealing_each_list_a_state_once(monkeypatch, name, mode):
+    # each sweep (a restart starts with one) lists the top type once, on the
+    # state it starts from, then rechecks only links; annealing lists the
+    # lower types once per state a sweep leaves (a rejected uphill proposal
+    # keeps the list), and such a state has no top-type move: the sweep owns
+    # type dim
     from flipcert import reduction
 
     original_enumerate = reduction.enumerate_moves
     original_sweep = reduction._greedy_vertex_removals
-    listings, sweeps = [], []
+    events = []
 
-    def enumerate_counted(k, types):
-        if set(types) == {k.dim}:
-            listings.append(k)
+    def enumerate_logged(k, types):
+        events.append(("list", k, frozenset(types)))
         return original_enumerate(k, types)
 
-    def sweep_counted(*args):
-        sweeps.append(args[0])
-        return original_sweep(*args)
+    def sweep_logged(k, *args):
+        events.append(("sweep", k, None))
+        swept, f = original_sweep(k, *args)
+        events.append(("swept", swept, None))
+        return swept, f
 
-    monkeypatch.setattr(reduction, "enumerate_moves", enumerate_counted)
-    monkeypatch.setattr(reduction, "_greedy_vertex_removals", sweep_counted)
-    k = fc.dual_complex(fc.named_polytope("dodecahedron")).complex
-    result = fc.reduce_to_simplex(k, ReductionOptions(rng_seed=0, restarts=1))
+    monkeypatch.setattr(reduction, "enumerate_moves", enumerate_logged)
+    monkeypatch.setattr(reduction, "_greedy_vertex_removals", sweep_logged)
+    k = fc.dual_complex(fc.named_polytope(name)).complex
+    result = fc.reduce_to_simplex(k, ReductionOptions(mode=mode, rng_seed=0))
     assert result.succeeded
-    removals = sum(m.move_type == k.dim for m in result.moves)
-    assert removals and listings == sweeps
+    top = frozenset({k.dim})
+    annealing = frozenset(range(1 if mode == "strict" else 0, k.dim))
+    annealed = 0
+    for previous, (event, state, types), following in zip(
+        [None] + events, events, events[1:] + [None]
+    ):
+        if event == "sweep":
+            assert following == ("list", state, top)
+        elif event == "swept":
+            assert previous[0] == "list" and previous[2] == top
+        elif event == "list" and types == top:
+            assert previous == ("sweep", state, None)
+        elif event == "list":
+            assert types == annealing
+            assert previous == ("swept", state, None)
+            assert original_enumerate(state, top) == []
+            annealed += 1
+    assert annealed > 1
+    assert any(m.move_type == k.dim for m in result.moves)
 
 
 def test_reduce_octahedron(octahedron):
