@@ -9,19 +9,22 @@ A move of type ``i`` on a complex of dimension ``n-1`` rewrites the star of a
 sequence replays on a face table, accepting a move by lookups and
 recounting only the faces it rewrites.  The checker, ``surgery``, takes
 the replay from here and never imports the search.
+
+The search lists moves from a ``FaceTable`` that it keeps from move to
+move.  The replay's count table stays a separate structure: a certificate
+is sound because the checker shares none of the search's fast path, so a
+fault in the search's table can only lose a reduction, never pass a move
+that the replay would refuse.
 """
 
 import itertools
 from dataclasses import dataclass
-from functools import reduce
-from operator import and_
 from typing import Optional
 
 from .complexes import (
     Complex,
     NotAFace,
     as_simplex,
-    faces_of_dimension,
     has_face,
     is_boundary_of_simplex,
     link,
@@ -140,48 +143,94 @@ def inverse_move(m: Move) -> Move:
     return Move(m.tau, m.sigma, len(m.sigma) - 1)
 
 
-def enumerate_moves(k: Complex, allowed_types) -> list:
+class FaceTable:
+    """The search's index of one complex, kept across its moves.
+
+    For each face size, filled on first use, every face maps to the list
+    of facets containing it.  ``links[size]`` maps ``sigma`` to the move
+    ``(sigma, tau)`` when the link of ``sigma`` is ``boundary(tau)``:
+    ``sigma`` lies in ``i + 1`` facets (``i`` its type) whose union minus
+    ``sigma`` has ``i + 1`` vertices, the ``i + 1`` distinct residues being
+    then all of ``boundary(tau)``.  A listing keeps the moves whose ``tau``
+    is not a face.  ``update`` rewrites only the faces of the facets a move
+    removes or adds and marks them, and only marked faces are judged again,
+    when their size is next listed.
+    """
+
+    def __init__(self, k: Complex):
+        self.dim = k.dim
+        self.facets = set(k.facets)
+        self.owners, self.links, self.dirty = {}, {}, {}
+
+    def _owners(self, size):
+        owners = self.owners.get(size)
+        if owners is None:
+            owners = self.owners[size] = {}
+            for facet in self.facets:
+                for face in itertools.combinations(facet, size):
+                    owners.setdefault(face, []).append(facet)
+            self.links[size], self.dirty[size] = {}, set(owners)
+        return owners
+
+    def update(self, removed, added):
+        """Apply a move's net change: remove the facets ``removed``, then
+        add ``added``."""
+        self.facets.difference_update(removed)
+        self.facets.update(added)
+        for size, owners in self.owners.items():
+            dirty = self.dirty[size]
+            for facet in removed:
+                for face in itertools.combinations(facet, size):
+                    held = owners[face]
+                    held.remove(facet)
+                    if not held:
+                        del owners[face]
+                    dirty.add(face)
+            for facet in added:
+                for face in itertools.combinations(facet, size):
+                    owners.setdefault(face, []).append(facet)
+                    dirty.add(face)
+
+    def moves(self, i: int) -> list:
+        """The type-``i`` moves, ``1 <= i <= dim``, sorted by ``sigma``."""
+        size, need = self.dim + 1 - i, i + 1
+        owners, links = self._owners(size), self.links[size]
+        for sigma in self.dirty[size]:
+            held = owners.get(sigma, ())
+            rest = set().union(*held).difference(sigma) if len(held) == need else ()
+            if len(rest) == need:
+                links[sigma] = Move(sigma, tuple(sorted(rest)), i)
+            else:
+                links.pop(sigma, None)
+        self.dirty[size].clear()
+        faces = self.facets if i == self.dim else self._owners(need)
+        listed = sorted((s, m) for s, m in links.items() if m.tau not in faces)
+        return [m for _, m in listed]
+
+
+def enumerate_moves(k: Complex, allowed_types, table=None) -> list:
     """All applicable moves with a type in ``allowed_types``, sorted by
     (type, sigma).  Type-0 moves are reported once per facet with the
     canonical fresh vertex.
 
-    Same result as ``is_applicable`` on every face, from one vertex-star
-    index: ``star[v]`` is the bitmask of the facets containing ``v``, so the
-    facets containing a face are the AND of its vertices' stars.  A face
-    ``sigma`` of type ``i >= 1`` is a move exactly when it lies in ``i + 1``
-    facets whose union minus ``sigma`` has ``i + 1`` vertices ``tau`` (the
-    ``i + 1`` distinct residues are then all of ``boundary(tau)``) and the
-    stars of ``tau`` share no facet (``tau`` is not a face).
+    Same result as ``is_applicable`` on every face; types ``>= 1`` come
+    from ``table``, which must hold ``k``, or from a fresh
+    ``FaceTable(k)``.
     """
     allowed = sorted(set(allowed_types))
     if any(t < 0 or t > k.dim for t in allowed):
         raise InputError(
             f"move types {allowed} outside 0..{k.dim}"
         )
-    facets = k.facets
-    star = {}
-    for index, f in enumerate(facets):
-        for v in f:
-            star[v] = star.get(v, 0) | 1 << index
+    if table is None:
+        table = FaceTable(k)
     out = []
     for i in allowed:
         if i == 0:
             tau = (fresh_vertex(k),)
-            out.extend(Move(f, tau, 0) for f in facets)
-            continue
-        for sigma in faces_of_dimension(k, k.dim - i):
-            owners = reduce(and_, map(star.__getitem__, sigma))
-            if owners.bit_count() != i + 1:
-                continue
-            rest = set()
-            while owners:
-                low = owners & -owners
-                rest.update(facets[low.bit_length() - 1])
-                owners ^= low
-            rest.difference_update(sigma)
-            if len(rest) != i + 1 or reduce(and_, map(star.__getitem__, rest)):
-                continue
-            out.append(Move(sigma, tuple(sorted(rest)), i))
+            out.extend(Move(f, tau, 0) for f in k.facets)
+        else:
+            out.extend(table.moves(i))
     return out
 
 

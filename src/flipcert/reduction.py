@@ -5,11 +5,13 @@ construction-direction sequence uses only types ``0..dim-1``.  The search is
 a greedy vertex-removal sweep interleaved with simulated annealing on the
 lexicographic cost (vertex count, then face counts from the top dimension
 down); failure after the step budget is a first-class result, never a
-fabricated certificate.  The sweep owns vertex removal (type ``dim``) and
-keeps only vertex stars; annealing runs only on states the sweep leaves
-without such a move, so it draws the lower types alone.  ``replay`` is
-``moves.replay_f_vectors`` without the f-vectors; it keeps its name here
-because ``cli apply``, ``flipcert.replay`` and the benchmark tracer use it.
+fabricated certificate.  Each restart keeps one ``moves.FaceTable``,
+updated with every move it applies, and lists every state from it.  The
+sweep owns vertex removal (type ``dim``); annealing runs only on states
+the sweep leaves without such a move, so it draws the lower types alone.
+``replay`` is ``moves.replay_f_vectors`` without the f-vectors; it keeps
+its name here because ``cli apply``, ``flipcert.replay`` and the benchmark
+tracer use it.
 """
 
 import itertools
@@ -21,7 +23,7 @@ from typing import Optional
 from .complexes import Complex, f_vector, is_boundary_of_simplex, is_pseudomanifold
 from .errors import FlipcertError, InputError
 from .moves import (
-    Move,
+    FaceTable,
     _rewrite,
     apply_move,
     enumerate_moves,
@@ -101,63 +103,46 @@ def f_vector_after(f: tuple, move) -> tuple:
     )
 
 
-def _greedy_vertex_removals(current, f, trail):
+def _greedy_vertex_removals(current, f, trail, table):
     """Apply vertex-removing moves (type = dim) until none applies, least
     vertex first, as ``enumerate_moves(current, {dim})[0]`` would pick.
 
-    One listing starts the sweep, which then keeps only each vertex's star
-    (the facets holding it) and the removable vertices with their ``tau``.
-    Removing ``v`` trades its star for the facet ``tau``, so only the stars
-    of ``tau``'s vertices change: those are rechecked, a set other than
-    ``tau`` being a facet iff its first vertex's star holds it, and every
-    vertex whose ``tau`` is now a facet is dropped.  No other vertex becomes
-    removable: its star is unchanged, and a removed facet holds ``v``, which
-    lies in the link of ``w`` only when ``w`` is in ``tau``.  One
-    ``Complex`` is built, at the end, from the union of the stars.
+    ``table`` holds ``current``.  One listing starts the sweep; each
+    removal then updates the table, which judges again only the vertices
+    whose star the removal changed, and the next removal is the least of
+    ``table.moves(dim)``.  One ``Complex`` is built, at the end, from the
+    table's facets.
     """
     top = current.dim
-    listed = enumerate_moves(current, {top})
+    listed = enumerate_moves(current, {top}, table)
     if not listed:
         return current, f
-    removable = {m.sigma[0]: m.tau for m in listed}
-    star = {}
-    for facet in current.facets:
-        for u in facet:
-            star.setdefault(u, set()).add(facet)
-    while removable:
-        v = min(removable)
-        tau = removable.pop(v)
-        for facet in star.pop(v):
-            for u in facet:
-                if u != v:
-                    star[u].remove(facet)
-        removable = {u: t for u, t in removable.items() if t != tau}
-        for u in tau:
-            star[u].add(tau)
-            removable.pop(u, None)
-            rest = tuple(sorted(set().union(*star[u]) - {u}))  # not tau
-            if len(star[u]) == len(rest) == top + 1 and rest not in star[rest[0]]:
-                removable[u] = rest
-        move = Move((v,), tau, top)
+    while listed:
+        move = listed[0]
+        table.update(join_boundary(move.sigma, move.tau),
+                     join_boundary(move.tau, move.sigma))
         f = f_vector_after(f, move)
         trail.append(move)
-    return _rewrite(current, current.facets, set().union(*star.values())), f
+        listed = table.moves(top)
+    return _rewrite(current, current.facets, table.facets), f
 
 
 def _single_search(k, f, allowed, max_steps, rng):
     """One restart; returns the steps examined (every move applied plus
     every rejected proposal) and the least-cost state seen, as ``(cost,
-    trail, complex)``.  It stops at a simplex boundary, the least of all."""
+    trail, complex)``.  It stops at a simplex boundary, the least of all.
+    One face table follows the restart's state from move to move."""
     trail = []
     rejected = 0
-    current, f = _greedy_vertex_removals(k, f, trail)
+    table = FaceTable(k)
+    current, f = _greedy_vertex_removals(k, f, trail, table)
     best = (_cost(f), len(trail), current)  # the trail only grows
     candidates = None  # kept until a move is accepted
     for step in range(max_steps):
         if is_boundary_of_simplex(current):
             break
         if candidates is None:
-            candidates = enumerate_moves(current, allowed)
+            candidates = enumerate_moves(current, allowed, table)
         if not candidates:
             break
         move = rng.choice(candidates)
@@ -169,11 +154,13 @@ def _single_search(k, f, allowed, max_steps, rng):
             if t <= 0 or rng.random() >= math.exp(-1.0 / t):
                 rejected += 1
                 continue
-        current = _rewrite(current, join_boundary(move.sigma, move.tau),
-                           join_boundary(move.tau, move.sigma))
+        removed = join_boundary(move.sigma, move.tau)
+        added = join_boundary(move.tau, move.sigma)
+        table.update(removed, added)
+        current = _rewrite(current, removed, added)
         candidates = None
         trail.append(move)
-        current, f = _greedy_vertex_removals(current, proposed, trail)
+        current, f = _greedy_vertex_removals(current, proposed, trail, table)
         if _cost(f) < best[0]:
             best = (_cost(f), len(trail), current)
     cost, length, final = best

@@ -1,16 +1,21 @@
 """Differential tests: each fast path of the search against the plain
 reference path it replaces.
 
-- ``enumerate_moves`` (vertex-star bitmasks) against ``is_applicable`` on
+- ``enumerate_moves`` (a fresh ``FaceTable``) against ``is_applicable`` on
   every face from ``faces_of_dimension``;
+- the search's ``FaceTable``, kept across the moves of a walk and the
+  sweeps within it, against that reference and a fresh table after every
+  move; and ``reduce_to_simplex`` against a search that lists, applies
+  and counts every state anew on the reference paths;
 - the search's closed-form f-vector update against ``f_vector`` of the
   rewritten complex;
 - the greedy sweep, which owns vertex removal (type ``dim``), lists the
-  removable vertices once and then keeps only vertex stars, rechecking the
-  link of each removed vertex, against the first top-type move of the
-  reference enumeration applied by ``apply_move`` until none is left; and
-  every state annealing lists, with the lower types alone, against that
-  reference: it has no top-type move;
+  removable vertices once and then takes each next one from its face
+  table, which judges again only the vertices whose star changed, against
+  the first top-type move of the reference enumeration applied by
+  ``apply_move`` until none is left; and every state annealing lists,
+  with the lower types alone, against that reference: it has no top-type
+  move;
 - the trusted constructor ``Complex._derived``, and the ``link`` and
   ``_rewrite`` built on it, against the validating ``Complex(...)`` fed the
   same facets computed from scratch;
@@ -33,6 +38,7 @@ paths refusing.
 
 import ast
 import functools
+import math
 import pathlib
 import random
 
@@ -42,7 +48,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import flipcert as fc
 from flipcert.complexes import faces_of_dimension
 from flipcert.errors import FlipcertError
-from flipcert.moves import ReplayFailure, _rewrite, join_boundary, replay_f_vectors
+from flipcert.moves import (
+    FaceTable,
+    ReplayFailure,
+    _rewrite,
+    join_boundary,
+    replay_f_vectors,
+)
 from flipcert.reduction import (
     ReductionOptions,
     ReductionResult,
@@ -180,7 +192,7 @@ def stacked_states(draw):
 @given(walk_states().map(lambda state: state[0]) | stacked_states())
 def test_greedy_sweep_matches_reference(k):
     trail = [None]  # the sweep appends to the search's trail
-    final, f = _greedy_vertex_removals(k, fc.f_vector(k), trail)
+    final, f = _greedy_vertex_removals(k, fc.f_vector(k), trail, FaceTable(k))
     reference, reference_trail = reference_sweep(k)
     assert_same_complex(final, reference)
     assert f == fc.f_vector(reference)
@@ -199,10 +211,10 @@ def test_annealing_never_lists_a_state_with_a_top_type_move(state):
     original = reduction.enumerate_moves
     annealed = []
 
-    def enumerate_logged(current, allowed):
+    def enumerate_logged(current, allowed, table=None):
         if set(allowed) != {current.dim}:
             annealed.append((current, set(allowed)))
-        return original(current, allowed)
+        return original(current, allowed, table)
 
     mode = "strict" if min(types) else "free"
     with pytest.MonkeyPatch.context() as patch:
@@ -211,6 +223,89 @@ def test_annealing_never_lists_a_state_with_a_top_type_move(state):
     for listed, allowed in annealed:
         assert allowed == types - {k.dim}
         assert original(listed, {k.dim}) == reference_moves(listed, {k.dim}) == []
+
+
+@FAST
+@given(walk_states(), st.lists(
+    st.tuples(st.sampled_from(("move", "sweep")), st.integers(0, 2**16),
+              st.sets(st.integers(0, 5))),
+    max_size=12,
+))
+def test_kept_face_table_matches_reference_after_every_move(state, steps):
+    # the search keeps one table for a restart; after each move or sweep it
+    # lists a drawn subset of the types, so some face sizes go unlisted for
+    # several moves and are judged again only later, from their marks
+    k, types = state
+    table = FaceTable(k)
+    for kind, choice, listed in steps:
+        if kind == "sweep":
+            k, _ = _greedy_vertex_removals(k, fc.f_vector(k), [], table)
+        else:
+            candidates = reference_moves(k, types)
+            if not candidates:
+                break
+            m = candidates[choice % len(candidates)]
+            table.update(join_boundary(m.sigma, m.tau), join_boundary(m.tau, m.sigma))
+            k = fc.apply_move(k, m)
+        assert table.facets == set(k.facets)
+        listed = listed & types
+        assert (fc.enumerate_moves(k, listed, table) == reference_moves(k, listed)
+                == fc.enumerate_moves(k, listed))
+    assert fc.enumerate_moves(k, types, table) == reference_moves(k, types)
+
+
+def recounted_cost(k):
+    f = fc.f_vector(k)
+    return (f[0],) + tuple(reversed(f))
+
+
+def relisting_search(k, opts):
+    """``reduce_to_simplex`` on the reference paths: every state listed by
+    ``is_applicable``, reached by ``apply_move``, swept by the reference
+    sweep and costed by ``f_vector``, with no state kept between steps."""
+    if fc.is_boundary_of_simplex(k):
+        return (), k, True, 0
+    allowed = range(1 if opts.mode == "strict" else 0, k.dim)
+    best, examined = None, 0
+    for restart in range(opts.restarts):
+        rng = random.Random(opts.rng_seed + restart)
+        current, trail = reference_sweep(k)
+        found, rejected = (recounted_cost(current), tuple(trail), current), 0
+        for step in range(opts.max_steps):
+            if fc.is_boundary_of_simplex(current):
+                break
+            candidates = reference_moves(current, allowed)
+            if not candidates:
+                break
+            move = rng.choice(candidates)
+            after = fc.apply_move(current, move)
+            if recounted_cost(after) > recounted_cost(current):
+                t = 0.99 ** (step // 50)
+                if t <= 0 or rng.random() >= math.exp(-1.0 / t):
+                    rejected += 1
+                    continue
+            current, swept = reference_sweep(after)
+            trail += [move] + swept
+            if recounted_cost(current) < found[0]:
+                found = (recounted_cost(current), tuple(trail), current)
+        examined += len(trail) + rejected
+        if best is None or found[0] < best[0]:
+            best = found
+        if fc.is_boundary_of_simplex(best[2]):
+            break
+    _, moves, final = best
+    return moves, final, fc.is_boundary_of_simplex(final), examined
+
+
+@FAST
+@given(walk_states(), st.integers(0, 3), st.integers(0, 30))
+def test_search_matches_a_search_that_relists_every_state(state, seed, max_steps):
+    k, types = state
+    opts = ReductionOptions(mode="strict" if min(types) else "free",
+                            max_steps=max_steps, rng_seed=seed, restarts=2)
+    result = fc.reduce_to_simplex(k, opts)
+    observed = (result.moves, result.final, result.succeeded, result.steps_examined)
+    assert observed == relisting_search(k, opts)
 
 
 @FAST

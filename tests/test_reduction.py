@@ -46,9 +46,9 @@ def test_sweep_and_annealing_each_list_a_state_once(monkeypatch, name, mode):
     original_sweep = reduction._greedy_vertex_removals
     events = []
 
-    def enumerate_logged(k, types):
+    def enumerate_logged(k, types, table=None):
         events.append(("list", k, frozenset(types)))
-        return original_enumerate(k, types)
+        return original_enumerate(k, types, table)
 
     def sweep_logged(k, *args):
         events.append(("sweep", k, None))

@@ -256,6 +256,7 @@ def test_empty_chain_builds_no_face_table(monkeypatch):
 @pytest.mark.parametrize("path", (
     "reduction.f_vector_after",
     "moves.enumerate_moves",
+    "moves.FaceTable",
     "moves._rewrite",
     "reduction._greedy_vertex_removals",
     "reduction.reduce_to_simplex",

@@ -22,13 +22,15 @@ GOLDEN = {
     "cube-5": (76, 89, "sha256:7568e39dd667820df9ccb8be3784ba229d0b307e61ba0f5f3a001f1b9cd4d83a"),
     "cube-6": (417, 816, "sha256:7e85eaececa483e6abfd042e8eedb6dde04f22e288e5f7b33ca29def5a8bac5f"),
     "prism x prism": (75, 139, "sha256:ea76573a8c6c2993b16bd962bfdefd412d7523002a806af17bff797f0001cb91"),
+    "cube-7": (1046, 1679, "sha256:f77554a31f10443cffbd51aefed64d9af72abc24e0bcb2c2617bfc48a2662b3d"),
+    "dodecahedron x cube-3": (1411, 3559, "sha256:d5ebe3d82a58448d4deff111d82667ade4e90746372d716bc141768ef4209214"),
 }
 
 
 def _polytope(name):
-    if name == "prism x prism":
-        prism = fc.named_polytope("prism")
-        return fc.product(prism, prism)
+    if " x " in name:
+        first, second = name.split(" x ")
+        return fc.product(fc.named_polytope(first), fc.named_polytope(second))
     return fc.named_polytope(name)
 
 
