@@ -10,7 +10,8 @@ moves delete and create vertices, and relabeling would break replay.
 
 ``Complex(dim, facets)`` validates every facet and takes all outside data.
 The private ``Complex._derived`` only sorts and deduplicates facets cut out
-of a validated complex; only ``link`` and ``moves._rewrite`` may call it.
+of a validated complex, or kept by the search from one; only ``link``,
+``moves.apply_move`` and ``moves.FaceTable.snapshot`` may call it.
 """
 
 import itertools

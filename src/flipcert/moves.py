@@ -10,11 +10,12 @@ sequence replays on a face table, accepting a move by lookups and
 recounting only the faces it rewrites.  The checker, ``surgery``, takes
 the replay from here and never imports the search.
 
-The search lists moves from a ``FaceTable`` that it keeps from move to
-move.  The replay's count table stays a separate structure: a certificate
-is sound because the checker shares none of the search's fast path, so a
-fault in the search's table can only lose a reduction, never pass a move
-that the replay would refuse.
+The search's only state is a ``FaceTable`` that it keeps from move to
+move: it lists moves from the table and builds a ``Complex`` from it only
+on request.  The replay's count table stays a separate structure: a
+certificate is sound because the checker shares none of the search's fast
+path, so a fault in the search's table can only lose a reduction, never
+pass a move that the replay would refuse.
 """
 
 import itertools
@@ -64,9 +65,10 @@ class Move:
         return f"Move(type={self.move_type}, sigma={self.sigma}, tau={self.tau})"
 
 
-def fresh_vertex(k: Complex) -> int:
-    """Canonical fresh vertex id for type-0 moves: max support id + 1."""
-    return max(k.support, default=-1) + 1
+def fresh_vertex(k) -> int:
+    """Canonical fresh vertex id for type-0 moves: max support id + 1, read
+    off the facets of a ``Complex`` or a ``FaceTable``."""
+    return max(itertools.chain.from_iterable(k.facets), default=-1) + 1
 
 
 def is_applicable(k: Complex, sigma) -> Optional[Move]:
@@ -119,23 +121,14 @@ def apply_move(k: Complex, m: Move) -> Complex:
             raise TauNotFresh(f"vertex {tau[0]} already in the support")
     elif detected.tau != tau:
         raise StaleTau(f"expected tau {detected.tau}, got {tau}")
-    return _rewrite(k, join_boundary(sigma, tau), join_boundary(tau, sigma))
+    kept = set(k.facets).difference(join_boundary(sigma, tau))
+    return Complex._derived(k.dim, kept.union(join_boundary(tau, sigma)))
 
 
 def join_boundary(a, b) -> list:
     """The facets of ``a * boundary(b)``, each ``a ∪ (b - v)`` sorted; a
     move rewrites ``sigma * boundary(tau)`` into ``boundary(sigma) * tau``."""
     return [tuple(sorted(a + b[:j] + b[j + 1:])) for j in range(len(b))]
-
-
-def _rewrite(k: Complex, removed, added) -> Complex:
-    """``k`` without the facets ``removed`` and with ``added``, unchecked:
-    only for the net change of moves just found applicable on ``k`` (by
-    ``apply_move``'s checks, ``enumerate_moves`` or the greedy sweep); a
-    move ``(sigma, tau)`` removes ``join_boundary(sigma, tau)`` and adds
-    ``join_boundary(tau, sigma)``."""
-    kept = set(k.facets).difference(removed)
-    return Complex._derived(k.dim, kept.union(added))
 
 
 def inverse_move(m: Move) -> Move:
@@ -154,7 +147,7 @@ class FaceTable:
     then all of ``boundary(tau)``.  A listing keeps the moves whose ``tau``
     is not a face.  ``update`` rewrites only the faces of the facets a move
     removes or adds and marks them, and only marked faces are judged again,
-    when their size is next listed.
+    when their size is next listed.  ``snapshot`` builds the complex held.
     """
 
     def __init__(self, k: Complex):
@@ -172,9 +165,14 @@ class FaceTable:
             self.links[size], self.dirty[size] = {}, set(owners)
         return owners
 
-    def update(self, removed, added):
-        """Apply a move's net change: remove the facets ``removed``, then
-        add ``added``."""
+    def snapshot(self) -> Complex:
+        return Complex._derived(self.dim, self.facets)
+
+    def update(self, move):
+        """Apply ``move``, found applicable on the complex held: remove the
+        facets ``sigma * boundary(tau)``, then add ``boundary(sigma) * tau``."""
+        removed = join_boundary(move.sigma, move.tau)
+        added = join_boundary(move.tau, move.sigma)
         self.facets.difference_update(removed)
         self.facets.update(added)
         for size, owners in self.owners.items():
@@ -192,7 +190,11 @@ class FaceTable:
                     dirty.add(face)
 
     def moves(self, i: int) -> list:
-        """The type-``i`` moves, ``1 <= i <= dim``, sorted by ``sigma``."""
+        """The type-``i`` moves, ``0 <= i <= dim``, sorted by ``sigma``;
+        type 0 once per facet, with the canonical fresh vertex."""
+        if i == 0:
+            tau = (fresh_vertex(self),)
+            return [Move(f, tau, 0) for f in sorted(self.facets)]
         size, need = self.dim + 1 - i, i + 1
         owners, links = self._owners(size), self.links[size]
         for sigma in self.dirty[size]:
@@ -208,30 +210,16 @@ class FaceTable:
         return [m for _, m in listed]
 
 
-def enumerate_moves(k: Complex, allowed_types, table=None) -> list:
+def enumerate_moves(k, allowed_types) -> list:
     """All applicable moves with a type in ``allowed_types``, sorted by
-    (type, sigma).  Type-0 moves are reported once per facet with the
-    canonical fresh vertex.
-
-    Same result as ``is_applicable`` on every face; types ``>= 1`` come
-    from ``table``, which must hold ``k``, or from a fresh
-    ``FaceTable(k)``.
-    """
+    (type, sigma): the same result as ``is_applicable`` on every face.
+    ``k`` is a ``Complex``, listed from a fresh ``FaceTable``, or the
+    search's own table, listed as it stands."""
     allowed = sorted(set(allowed_types))
     if any(t < 0 or t > k.dim for t in allowed):
-        raise InputError(
-            f"move types {allowed} outside 0..{k.dim}"
-        )
-    if table is None:
-        table = FaceTable(k)
-    out = []
-    for i in allowed:
-        if i == 0:
-            tau = (fresh_vertex(k),)
-            out.extend(Move(f, tau, 0) for f in k.facets)
-        else:
-            out.extend(table.moves(i))
-    return out
+        raise InputError(f"move types {allowed} outside 0..{k.dim}")
+    table = k if isinstance(k, FaceTable) else FaceTable(k)
+    return [m for i in allowed for m in table.moves(i)]
 
 
 def _recount(table, f, added, removed):

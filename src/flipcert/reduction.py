@@ -5,10 +5,12 @@ construction-direction sequence uses only types ``0..dim-1``.  The search is
 a greedy vertex-removal sweep interleaved with simulated annealing on the
 lexicographic cost (vertex count, then face counts from the top dimension
 down); failure after the step budget is a first-class result, never a
-fabricated certificate.  Each restart keeps one ``moves.FaceTable``,
-updated with every move it applies, and lists every state from it.  The
-sweep owns vertex removal (type ``dim``); annealing runs only on states
-the sweep leaves without such a move, so it draws the lower types alone.
+fabricated certificate.  A restart's only state is one
+``moves.FaceTable``, updated with every move it applies, and its f-vector,
+updated in closed form; it lists every state from the table and builds a
+``Complex`` only when its best state improves.  The sweep owns vertex
+removal (type ``dim``); annealing runs only on states the sweep leaves
+without such a move, so it draws the lower types alone.
 ``replay`` is ``moves.replay_f_vectors`` without the f-vectors; it keeps
 its name here because ``cli apply``, ``flipcert.replay`` and the benchmark
 tracer use it.
@@ -22,14 +24,7 @@ from typing import Optional
 
 from .complexes import Complex, f_vector, is_boundary_of_simplex, is_pseudomanifold
 from .errors import FlipcertError, InputError
-from .moves import (
-    FaceTable,
-    _rewrite,
-    apply_move,
-    enumerate_moves,
-    join_boundary,
-    replay_f_vectors,
-)
+from .moves import FaceTable, apply_move, enumerate_moves, replay_f_vectors
 
 
 class BadInput(InputError):
@@ -103,46 +98,42 @@ def f_vector_after(f: tuple, move) -> tuple:
     )
 
 
-def _greedy_vertex_removals(current, f, trail, table):
-    """Apply vertex-removing moves (type = dim) until none applies, least
-    vertex first, as ``enumerate_moves(current, {dim})[0]`` would pick.
+def _greedy_vertex_removals(table, f, trail):
+    """Apply vertex-removing moves (type = dim) to the complex ``table``
+    holds until none applies, least vertex first, as
+    ``enumerate_moves(table, {dim})[0]`` would pick; return the f-vector.
 
-    ``table`` holds ``current``.  One listing starts the sweep; each
-    removal then updates the table, which judges again only the vertices
-    whose star the removal changed, and the next removal is the least of
-    ``table.moves(dim)``.  One ``Complex`` is built, at the end, from the
-    table's facets.
+    One listing starts the sweep; each removal then updates the table,
+    which judges again only the vertices whose star the removal changed,
+    and the next removal is the least of ``table.moves(dim)``.
     """
-    top = current.dim
-    listed = enumerate_moves(current, {top}, table)
-    if not listed:
-        return current, f
+    listed = enumerate_moves(table, {table.dim})
     while listed:
         move = listed[0]
-        table.update(join_boundary(move.sigma, move.tau),
-                     join_boundary(move.tau, move.sigma))
+        table.update(move)
         f = f_vector_after(f, move)
         trail.append(move)
-        listed = table.moves(top)
-    return _rewrite(current, current.facets, table.facets), f
+        listed = table.moves(table.dim)
+    return f
 
 
 def _single_search(k, f, allowed, max_steps, rng):
     """One restart; returns the steps examined (every move applied plus
     every rejected proposal) and the least-cost state seen, as ``(cost,
-    trail, complex)``.  It stops at a simplex boundary, the least of all.
-    One face table follows the restart's state from move to move."""
+    trail, complex)``.  It stops at a simplex boundary, the least of all:
+    ``dim + 2`` vertices and as many facets, read off the f-vector.  One
+    face table follows the restart's state from move to move."""
     trail = []
     rejected = 0
     table = FaceTable(k)
-    current, f = _greedy_vertex_removals(k, f, trail, table)
-    best = (_cost(f), len(trail), current)  # the trail only grows
+    f = _greedy_vertex_removals(table, f, trail)
+    best = (_cost(f), len(trail), table.snapshot())  # the trail only grows
     candidates = None  # kept until a move is accepted
     for step in range(max_steps):
-        if is_boundary_of_simplex(current):
+        if f[0] == f[-1] == k.dim + 2:
             break
         if candidates is None:
-            candidates = enumerate_moves(current, allowed, table)
+            candidates = enumerate_moves(table, allowed)
         if not candidates:
             break
         move = rng.choice(candidates)
@@ -154,15 +145,12 @@ def _single_search(k, f, allowed, max_steps, rng):
             if t <= 0 or rng.random() >= math.exp(-1.0 / t):
                 rejected += 1
                 continue
-        removed = join_boundary(move.sigma, move.tau)
-        added = join_boundary(move.tau, move.sigma)
-        table.update(removed, added)
-        current = _rewrite(current, removed, added)
+        table.update(move)
         candidates = None
         trail.append(move)
-        current, f = _greedy_vertex_removals(current, proposed, trail, table)
+        f = _greedy_vertex_removals(table, proposed, trail)
         if _cost(f) < best[0]:
-            best = (_cost(f), len(trail), current)
+            best = (_cost(f), len(trail), table.snapshot())
     cost, length, final = best
     return len(trail) + rejected, (cost, tuple(trail[:length]), final)
 

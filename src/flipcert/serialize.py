@@ -128,9 +128,14 @@ def polytope_to_doc(p: SimplePolytope) -> dict:
 
 
 def polytope_from_doc(doc) -> SimplePolytope:
-    return make_polytope(
-        *fields(doc, "polytope", dim=int, facets=[str], vertices=[[int]])
+    dim, names, vertices = fields(
+        doc, "polytope", dim=int, facets=[str], vertices=[[int]]
     )
+    p = make_polytope(dim, names, vertices)
+    for v in vertices:  # a vertex on dim facets, listed with more indices
+        if len(v) != dim:
+            raise MalformedDocument(f"polytope: vertex {v} repeats a facet index")
+    return p
 
 
 # -- reduction results -------------------------------------------------------

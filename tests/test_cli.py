@@ -350,6 +350,19 @@ def cli_case(name, argv, files=None, exit_code=2, code=None, message="",
     )
 
 
+def _repeat_first_index(polytope_doc):
+    """The polytope with its first vertex listed with its first facet index
+    twice: a vertex still on ``dim`` distinct facets, so it used to pass."""
+    first, *rest = polytope_doc["vertices"]
+    return dict(polytope_doc, vertices=[first[:1] + first, *rest])
+
+
+TRIANGLE_DUAL = fc.dual_complex(fc.simplex_polytope(2))
+TRIANGLE_CERT = certificate_to_doc(
+    fc.build_ledger(TRIANGLE_DUAL, fc.reduce_to_simplex(TRIANGLE_DUAL.complex))
+)
+REPEATED_INDEX = "polytope: vertex [0, 0, 1] repeats a facet index"
+
 #: A ``--moves`` document nested 1,200 levels deep, past the recursion
 #: limit: refused by the JSON decoder or by the move-sequence decoder.
 DEEP_MOVES = '{"moves":' * 1200 + "[]" + "}" * 1200
@@ -370,6 +383,17 @@ CLI_CASES = [
     cli_case("build-dual-unused-facet", ["build-dual", "@p"],
              {"@p": dict(SEGMENT, facets=["a", "b", "c"])},
              code="UnusedFacet", message="facets [2] appear in no vertex"),
+    cli_case("build-dual-repeated-index", ["build-dual", "@p"],
+             {"@p": _repeat_first_index(TRIANGLE_CERT["polytope"])},
+             code="MalformedDocument", message=REPEATED_INDEX, check=_no_output),
+    cli_case("certify-repeated-index", ["certify", "@p"],
+             {"@p": _repeat_first_index(TRIANGLE_CERT["polytope"])},
+             code="MalformedDocument", message=REPEATED_INDEX, check=_no_output),
+    cli_case("verify-repeated-index", ["verify", "@c"],
+             {"@c": dict(TRIANGLE_CERT, polytope=_repeat_first_index(
+                 TRIANGLE_CERT["polytope"]))},
+             code="MalformedCertificate", message=REPEATED_INDEX,
+             check=_no_output),
     cli_case("check-freeness-shape", ["check-freeness", "@p", "--lambda", "@l"],
              {"@p": SEGMENT,
               "@l": {"rows": 1, "cols": 3, "entries": [[1, 1, 1]]}},

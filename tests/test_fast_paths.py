@@ -17,8 +17,8 @@ reference path it replaces.
   with the lower types alone, against that reference: it has no top-type
   move;
 - the trusted constructor ``Complex._derived``, and the ``link`` and
-  ``_rewrite`` built on it, against the validating ``Complex(...)`` fed the
-  same facets computed from scratch;
+  ``apply_move`` built on it, against the validating ``Complex(...)`` fed
+  the same facets computed from scratch;
 - the ledger's post f-vectors, read off the face-table replay, against
   ``f_vector`` of each complex the inverse moves reach, replayed backward
   from the final one;
@@ -48,13 +48,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import flipcert as fc
 from flipcert.complexes import faces_of_dimension
 from flipcert.errors import FlipcertError
-from flipcert.moves import (
-    FaceTable,
-    ReplayFailure,
-    _rewrite,
-    join_boundary,
-    replay_f_vectors,
-)
+from flipcert.moves import FaceTable, ReplayFailure, replay_f_vectors
 from flipcert.reduction import (
     ReductionOptions,
     ReductionResult,
@@ -192,9 +186,10 @@ def stacked_states(draw):
 @given(walk_states().map(lambda state: state[0]) | stacked_states())
 def test_greedy_sweep_matches_reference(k):
     trail = [None]  # the sweep appends to the search's trail
-    final, f = _greedy_vertex_removals(k, fc.f_vector(k), trail, FaceTable(k))
+    table = FaceTable(k)
+    f = _greedy_vertex_removals(table, fc.f_vector(k), trail)
     reference, reference_trail = reference_sweep(k)
-    assert_same_complex(final, reference)
+    assert_same_complex(table.snapshot(), reference)
     assert f == fc.f_vector(reference)
     assert trail == [None] + reference_trail
 
@@ -211,17 +206,19 @@ def test_annealing_never_lists_a_state_with_a_top_type_move(state):
     original = reduction.enumerate_moves
     annealed = []
 
-    def enumerate_logged(current, allowed, table=None):
-        if set(allowed) != {current.dim}:
-            annealed.append((current, set(allowed)))
-        return original(current, allowed, table)
+    def enumerate_logged(table, allowed):
+        # the table mutates, so the state listed is logged as its facets
+        if set(allowed) != {table.dim}:
+            annealed.append((frozenset(table.facets), set(allowed)))
+        return original(table, allowed)
 
     mode = "strict" if min(types) else "free"
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(reduction, "enumerate_moves", enumerate_logged)
         fc.reduce_to_simplex(k, ReductionOptions(mode=mode, max_steps=20, restarts=1))
-    for listed, allowed in annealed:
+    for facets, allowed in annealed:
         assert allowed == types - {k.dim}
+        listed = fc.Complex(k.dim, facets)
         assert original(listed, {k.dim}) == reference_moves(listed, {k.dim}) == []
 
 
@@ -239,19 +236,20 @@ def test_kept_face_table_matches_reference_after_every_move(state, steps):
     table = FaceTable(k)
     for kind, choice, listed in steps:
         if kind == "sweep":
-            k, _ = _greedy_vertex_removals(k, fc.f_vector(k), [], table)
+            _greedy_vertex_removals(table, fc.f_vector(k), [])
+            k = table.snapshot()
         else:
             candidates = reference_moves(k, types)
             if not candidates:
                 break
             m = candidates[choice % len(candidates)]
-            table.update(join_boundary(m.sigma, m.tau), join_boundary(m.tau, m.sigma))
+            table.update(m)
             k = fc.apply_move(k, m)
         assert table.facets == set(k.facets)
         listed = listed & types
-        assert (fc.enumerate_moves(k, listed, table) == reference_moves(k, listed)
+        assert (fc.enumerate_moves(table, listed) == reference_moves(k, listed)
                 == fc.enumerate_moves(k, listed))
-    assert fc.enumerate_moves(k, types, table) == reference_moves(k, types)
+    assert fc.enumerate_moves(table, types) == reference_moves(k, types)
 
 
 def recounted_cost(k):
@@ -341,14 +339,10 @@ def rewritten(k, m):
 def test_rewrite_matches_apply_move(state):
     k, _ = state
     for m in fc.enumerate_moves(k, set(range(k.dim + 1))):  # type 0 too
-        reference = rewritten(k, m)
-        removed = join_boundary(m.sigma, m.tau)
-        added = join_boundary(m.tau, m.sigma)
-        assert_same_complex(_rewrite(k, removed, added), reference)
-        assert_same_complex(fc.apply_move(k, m), reference)
+        assert_same_complex(fc.apply_move(k, m), rewritten(k, m))
 
 
-def test_only_link_and_rewrite_use_the_trusted_constructor():
+def test_only_link_apply_move_and_the_face_table_use_the_trusted_constructor():
     callers = set()
     for path in pathlib.Path(fc.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -357,7 +351,9 @@ def test_only_link_and_rewrite_use_the_trusted_constructor():
                 for node in ast.walk(function):
                     if isinstance(node, ast.Attribute) and node.attr == "_derived":
                         callers.add((path.name, function.name))
-    assert callers == {("complexes.py", "link"), ("moves.py", "_rewrite")}
+    assert callers == {
+        ("complexes.py", "link"), ("moves.py", "apply_move"), ("moves.py", "snapshot"),
+    }
 
 
 def test_the_checker_never_imports_the_search():

@@ -46,15 +46,16 @@ def test_sweep_and_annealing_each_list_a_state_once(monkeypatch, name, mode):
     original_sweep = reduction._greedy_vertex_removals
     events = []
 
-    def enumerate_logged(k, types, table=None):
-        events.append(("list", k, frozenset(types)))
-        return original_enumerate(k, types, table)
+    # the search's face table mutates: a state is logged as its facets
+    def enumerate_logged(table, types):
+        events.append(("list", frozenset(table.facets), frozenset(types)))
+        return original_enumerate(table, types)
 
-    def sweep_logged(k, *args):
-        events.append(("sweep", k, None))
-        swept, f = original_sweep(k, *args)
-        events.append(("swept", swept, None))
-        return swept, f
+    def sweep_logged(table, *args):
+        events.append(("sweep", frozenset(table.facets), None))
+        f = original_sweep(table, *args)
+        events.append(("swept", frozenset(table.facets), None))
+        return f
 
     monkeypatch.setattr(reduction, "enumerate_moves", enumerate_logged)
     monkeypatch.setattr(reduction, "_greedy_vertex_removals", sweep_logged)
@@ -76,10 +77,27 @@ def test_sweep_and_annealing_each_list_a_state_once(monkeypatch, name, mode):
         elif event == "list":
             assert types == annealing
             assert previous == ("swept", state, None)
-            assert original_enumerate(state, top) == []
+            assert original_enumerate(fc.Complex(k.dim, state), top) == []
             annealed += 1
     assert annealed > 1
     assert any(m.move_type == k.dim for m in result.moves)
+
+
+def test_the_search_builds_a_complex_only_for_a_better_state(monkeypatch):
+    # a restart's only state is its face table: a Complex is built from it
+    # when the best state improves, not after every move or sweep
+    derived = fc.Complex._derived
+    calls = []
+
+    def counted(cls, dim, facets):
+        calls.append(dim)
+        return derived(dim, facets)
+
+    monkeypatch.setattr(fc.Complex, "_derived", classmethod(counted))
+    k = fc.dual_complex(fc.named_polytope("cube-6")).complex
+    result = fc.reduce_to_simplex(k, ReductionOptions(rng_seed=0))
+    assert result.succeeded
+    assert len(calls) < len(result.moves) / 10
 
 
 def test_reduce_octahedron(octahedron):

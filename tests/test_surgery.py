@@ -257,7 +257,6 @@ def test_empty_chain_builds_no_face_table(monkeypatch):
     "reduction.f_vector_after",
     "moves.enumerate_moves",
     "moves.FaceTable",
-    "moves._rewrite",
     "reduction._greedy_vertex_removals",
     "reduction.reduce_to_simplex",
 ))
