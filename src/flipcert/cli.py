@@ -18,12 +18,7 @@ from .errors import FlipcertError, InputError
 from .moves import enumerate_moves
 from .polytopes import corpus, dual_complex
 from .quasitoric import check_freeness
-from .reduction import (
-    ReductionOptions,
-    SearchExhausted,
-    reduce_to_simplex,
-    replay,
-)
+from .reduction import ReductionOptions, SearchExhausted, reduce_to_simplex, replay
 from . import serialize
 from .serialize import (
     complex_digest,
@@ -88,12 +83,8 @@ def _diagnostic(code, message, location=None):
 
 
 def _options_from_args(args) -> ReductionOptions:
-    return ReductionOptions(
-        mode=args.mode,
-        max_steps=args.max_steps,
-        rng_seed=args.seed,
-        restarts=args.restarts,
-    )
+    return ReductionOptions(mode=args.mode, max_steps=args.max_steps,
+                            rng_seed=args.seed, restarts=args.restarts)
 
 
 def _cmd_build_dual(args) -> int:

@@ -6,19 +6,22 @@ A move of type ``i`` on a complex of dimension ``n-1`` rewrites the star of a
 ``{s ∪ tau : s in boundary(sigma)}``.  Type 0 introduces a fresh vertex, type
 ``n-1`` deletes one, and the inverse move swaps the roles of ``sigma`` and
 ``tau``.  This module alone decides which move sequences are valid: a
-sequence replays on a face table, accepting a move by lookups and
-recounting only the faces it rewrites.  The checker, ``surgery``, takes
+sequence replays on vertex stars, accepting each move by set intersections
+and stepping the f-vector in closed form.  The checker, ``surgery``, takes
 the replay from here and never imports the search.
 
 The search's only state is a ``FaceTable`` that it keeps from move to
 move: it lists moves from the table and builds a ``Complex`` from it only
-on request.  The replay's count table stays a separate structure: a
-certificate is sound because the checker shares none of the search's fast
-path, so a fault in the search's table can only lose a reduction, never
-pass a move that the replay would refuse.
+on request.  The search and the replay share the closed form of the
+f-vector, never a move test: a fault in the search's table can only lose a
+reduction, never pass a move that the replay would refuse.
 """
 
+import collections
+import functools
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -26,6 +29,7 @@ from .complexes import (
     Complex,
     NotAFace,
     as_simplex,
+    f_vector,
     has_face,
     is_boundary_of_simplex,
     link,
@@ -222,56 +226,64 @@ def enumerate_moves(k, allowed_types) -> list:
     return [m for i in allowed for m in table.moves(i)]
 
 
-def _recount(table, f, added, removed):
-    """Count the faces of the ``added`` facets into the face table, then of
-    the ``removed`` ones out; a count crossing zero changes ``f``."""
-    for d in range(len(f)):
-        change = 0
-        for facet in added:
-            for face in itertools.combinations(facet, d + 1):
-                count = table.get(face, 0)
-                if not count:
-                    change += 1
-                table[face] = count + 1
-        for facet in removed:
-            for face in itertools.combinations(facet, d + 1):
-                count = table.pop(face) - 1
-                if count:
-                    table[face] = count
-                else:
-                    change -= 1
-        f[d] += change
+@functools.cache
+def f_vector_change(s: int, t: int) -> tuple:
+    """What a move with ``len(sigma) == s`` and ``len(tau) == t`` adds to the
+    f-vector of a complex of dimension ``s + t - 2``: ``C(s, j) - C(t, j)``
+    in dimension ``e``, where ``j = s + t - 1 - e``; by symmetry that is
+    ``C(s, e+1-t) - C(t, e+1-s)``, a negative lower index counting 0.
+
+    Proof: the faces ``a ∪ b`` of ``sigma * boundary(tau)`` (``a ⊆ sigma``,
+    ``b ⊊ tau``) give way to those of ``boundary(sigma) * tau`` (``a ⊊
+    sigma``, ``b ⊆ tau``); those with ``a ⊊ sigma`` and ``b ⊊ tau`` stay,
+    as does every face outside the star of ``sigma``.  So ``sigma ∪ b``,
+    ``b ⊊ tau``, go: a facet holding one holds ``sigma``.  And ``a ∪ tau``,
+    ``a ⊊ sigma``, appear: ``tau`` was no face.  In dimension ``e`` the
+    first leave out ``j`` vertices of ``tau``, the second ``j`` of ``sigma``."""
+    return tuple(math.comb(s, j) - math.comb(t, j) for j in range(s + t - 1, 0, -1))
+
+
+def _vertex_stars(facets) -> dict:
+    """Each vertex mapped to the set of ``facets`` holding it."""
+    star = collections.defaultdict(set)
+    for facet in facets:
+        for v in facet:
+            star[v].add(facet)
+    return star
 
 
 def replay_f_vectors(k: Complex, moves) -> tuple:
     """Apply a recorded move sequence; return its endpoint and the f-vector
     of the complex each move starts from, or raise ``ReplayFailure`` at the
-    first move that does not apply.  The face table, built only when there
-    is a move, maps each non-empty face to its number of facets: a move
+    first move that does not apply.  Only given a move, it counts the faces
+    once and keeps each vertex's star, the facets holding it.  A move
     ``(sigma, tau)`` of type ``i`` applies, as in ``apply_move``, iff
-    ``sigma`` lies in ``i + 1`` facets, ``tau`` has ``i + 1`` vertices and
-    is not a face, and ``sigma * boundary(tau)`` consists of facets."""
+    ``len(sigma) == dim + 1 - i`` and ``len(tau) == i + 1`` are not 0, the
+    stars of ``sigma``'s vertices share exactly ``i + 1`` facets, all inside
+    ``sigma ∪ tau`` (so they hold ``sigma`` and are ``sigma * boundary(tau)``),
+    and those of ``tau``'s share none: ``tau`` is no face."""
     if not moves:
         return k, []
-    facets, table, f = set(k.facets), {}, [0] * (k.dim + 1)
-    _recount(table, f, facets, ())
-    pre_f_vectors = []
+    star, f, pre_f_vectors = _vertex_stars(k.facets), f_vector(k), []
     for index, move in enumerate(moves):
         try:
             sigma, tau = as_simplex(move.sigma), as_simplex(move.tau)
-            removed = join_boundary(sigma, tau)
-            # a vertex sigma and tau share makes the type-0 tau a face, or
-            # repeats in some sigma + (tau - v), which is then no facet
-            if not (move.move_type == k.dim + 1 - len(sigma) == len(tau) - 1
-                    and table.get(sigma) == len(tau) and tau not in table
-                    and facets.issuperset(removed)):
-                apply_move(Complex(k.dim, facets), move)  # raises the reason
-                raise AssertionError(f"the face table rejects move {index}")
+            s, t, stars = len(sigma), len(tau), [star[v] for v in sigma + tau]
+            if not (move.move_type == k.dim + 1 - s == t - 1 and s and t
+                    and len(removed := set.intersection(*stars[:s])) == t
+                    and all(map(set(sigma + tau).issuperset, removed))
+                    and not set.intersection(*stars[s:])):
+                held = set().union(*star.values())
+                apply_move(Complex(k.dim, held), move)  # raises the reason
+                raise AssertionError(f"the vertex stars reject move {index}")
         except FlipcertError as exc:
             raise ReplayFailure(index, exc)
-        pre_f_vectors.append(tuple(f))
-        added = join_boundary(tau, sigma)
-        facets.difference_update(removed)
-        facets.update(added)
-        _recount(table, f, added, removed)
-    return Complex(k.dim, facets), pre_f_vectors
+        pre_f_vectors.append(f)
+        f = tuple(map(operator.add, f, f_vector_change(s, t)))
+        for facet in removed:
+            for v in facet:
+                star[v].discard(facet)
+        for facet in join_boundary(tau, sigma):
+            for v in facet:
+                star[v].add(facet)
+    return Complex(k.dim, set().union(*star.values())), pre_f_vectors

@@ -38,6 +38,10 @@ class BadDimension(InputError):
     pass
 
 
+class NoVertices(InputError):
+    pass
+
+
 class UnknownName(InputError):
     pass
 
@@ -75,6 +79,8 @@ class SimplePolytope:
             raise UnusedFacet(
                 f"facets {sorted(set(range(m)) - used)} appear in no vertex"
             )
+        if not self.vertices:
+            raise NoVertices("a polytope needs at least one vertex")
 
     @property
     def facet_count(self) -> int:

@@ -18,13 +18,15 @@ tracer use it.
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from typing import Optional
 
 from .complexes import Complex, f_vector, is_boundary_of_simplex, is_pseudomanifold
 from .errors import FlipcertError, InputError
-from .moves import FaceTable, apply_move, enumerate_moves, replay_f_vectors
+from .moves import FaceTable, apply_move, enumerate_moves, f_vector_change
+from .moves import replay_f_vectors
 
 
 class BadInput(InputError):
@@ -86,16 +88,9 @@ def _cost(f: tuple) -> tuple:
 
 
 def f_vector_after(f: tuple, move) -> tuple:
-    """The f-vector after ``move``, in closed form: the faces ``sigma ∪ r``
-    (``r`` a proper subset of ``tau``) give way to ``tau ∪ r`` (``r`` a
-    proper subset of ``sigma``).  Subsets are proper because a face has at
-    most ``dim + 1 < len(sigma) + len(tau)`` vertices."""
-    s, t = len(move.sigma), len(move.tau)
-    return tuple(
-        fe + (math.comb(s, e + 1 - t) if e + 1 >= t else 0)
-        - (math.comb(t, e + 1 - s) if e + 1 >= s else 0)
-        for e, fe in enumerate(f)
-    )
+    """The f-vector after ``move``, stepped by ``moves.f_vector_change``."""
+    change = f_vector_change(len(move.sigma), len(move.tau))
+    return tuple(map(operator.add, f, change))
 
 
 def _greedy_vertex_removals(table, f, trail):

@@ -31,15 +31,20 @@ def digest(doc) -> str:
 
 def _fits(value, kind) -> bool:
     if isinstance(kind, list):
-        plain, bad = kind[0], (bool if kind[0] is int else ())
+        plain = kind[0]
         if isinstance(plain, type) and isinstance(value, list):  # one pass
-            return all(isinstance(v, plain) and not isinstance(v, bad) for v in value)
+            if plain is int:
+                return all(type(v) is int or _fits(v, int) for v in value)
+            return all(isinstance(v, plain) for v in value)
         return isinstance(value, list) and all(_fits(v, plain) for v in value)
     if isinstance(kind, tuple):
         return any(_fits(value, k) for k in kind)
     if kind is None:
         return value is None
-    return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
+    if kind is int:  # an exact int first; a subclass other than bool fits too
+        return type(value) is int or (isinstance(value, int)
+                                      and not isinstance(value, bool))
+    return isinstance(value, kind)
 
 
 def _kind_name(kind) -> str:

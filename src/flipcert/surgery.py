@@ -7,9 +7,9 @@ acts as an equivariant surgery of codimension ``2n - 2i`` (equivalently
 ``2 + 2j`` for the reduction type ``j = n-1-i``), with type-0 moves each
 contributing one extra circle factor to the ambient torus.  A certificate
 records that chain with exact codimensions.  The ledger and verification
-each run one forward replay that recounts faces locally, on a face table,
-and yields every f-vector; verification recomputes every claim from it,
-never trusting the stored flags.
+each run one forward replay on vertex stars, which counts the faces once
+and steps every f-vector in closed form; verification recomputes every
+claim from it, never trusting the stored flags.
 """
 
 from dataclasses import dataclass
@@ -110,9 +110,9 @@ def build_ledger(dual: DualComplexMap, result) -> SurgeryCertificate:
     construction-direction surgery chain.  Of the ``ReductionResult`` it reads
     only ``moves`` and ``final``, never the ``succeeded`` flag.
 
-    One face-table replay from the dual checks the moves, must end on
-    ``result.final``, proving the moves reach it, and counts the faces of every
-    state.  Step ``k`` undoes reduction move ``L-1-k``, so its post f-vector is
+    One vertex-star replay from the dual checks the moves, must end on
+    ``result.final``, proving the moves reach it, and yields the f-vector of
+    every state.  Step ``k`` undoes reduction move ``L-1-k``, so its post f-vector is
     that of the complex the move starts from, as :func:`verify_certificate`
     reads it too.  The base stage is the moment-angle manifold of the simplex
     (a sphere of dimension 2n+1) times one circle per construction-type-0 step.
@@ -192,7 +192,7 @@ def verify_certificate(cert: SurgeryCertificate) -> VerificationReport:
     complex and its hash, the reduction replay, every post f-vector, every
     codimension, the torus accounting and the verified flag are all rebuilt
     from the polytope and the move list and compared against the stored
-    values.  One face-table replay yields every post f-vector: once the steps
+    values.  One vertex-star replay yields every post f-vector: once the steps
     mirror the moves, step ``k`` undoes reduction move ``L-1-k`` exactly, so
     it ends on the complex that move starts from.
     """

@@ -363,6 +363,10 @@ TRIANGLE_CERT = certificate_to_doc(
 )
 REPEATED_INDEX = "polytope: vertex [0, 0, 1] repeats a facet index"
 
+#: The triangle's certificate polytope, emptied: no facets, no vertices.
+NO_VERTICES = dict(TRIANGLE_CERT["polytope"], facets=[], vertices=[])
+NO_VERTEX = "a polytope needs at least one vertex"
+
 #: A ``--moves`` document nested 1,200 levels deep, past the recursion
 #: limit: refused by the JSON decoder or by the move-sequence decoder.
 DEEP_MOVES = '{"moves":' * 1200 + "[]" + "}" * 1200
@@ -394,6 +398,16 @@ CLI_CASES = [
                  TRIANGLE_CERT["polytope"]))},
              code="MalformedCertificate", message=REPEATED_INDEX,
              check=_no_output),
+    cli_case("build-dual-no-vertices", ["build-dual", "@p"],
+             {"@p": NO_VERTICES}, code="NoVertices", message=NO_VERTEX,
+             check=_no_output),
+    cli_case("check-freeness-no-vertices",
+             ["check-freeness", "@p", "--lambda", "@l"],
+             {"@p": NO_VERTICES, "@l": {"rows": 2, "cols": 0, "entries": [[], []]}},
+             code="NoVertices", message=NO_VERTEX, check=_no_output),
+    cli_case("verify-no-vertices", ["verify", "@c"],
+             {"@c": dict(TRIANGLE_CERT, polytope=NO_VERTICES)},
+             code="MalformedCertificate", message=NO_VERTEX, check=_no_output),
     cli_case("check-freeness-shape", ["check-freeness", "@p", "--lambda", "@l"],
              {"@p": SEGMENT,
               "@l": {"rows": 1, "cols": 3, "entries": [[1, 1, 1]]}},

@@ -19,12 +19,15 @@ reference path it replaces.
 - the trusted constructor ``Complex._derived``, and the ``link`` and
   ``apply_move`` built on it, against the validating ``Complex(...)`` fed
   the same facets computed from scratch;
-- the ledger's post f-vectors, read off the face-table replay, against
+- the ledger's post f-vectors, read off the vertex-star replay, against
   ``f_vector`` of each complex the inverse moves reach, replayed backward
   from the final one;
-- the face-table replay (``replay_f_vectors``) against sequential
+- the vertex-star replay (``replay_f_vectors``) against sequential
   ``apply_move`` with ``f_vector`` on each state, on walks corrupted at one
-  move: the same endpoint and f-vectors, or the same ``ReplayFailure``;
+  move, in dimensions 1-5 and 6-8: the same endpoint and f-vectors, or the
+  same ``ReplayFailure``; and its closed-form f-vector change
+  (``moves.f_vector_change``) against ``f_vector`` before and after one
+  move of every type in dimensions 1-8;
 - ``serialize.fields``, with its one-pass list check, against the
   recursive per-key ``require`` it replaced, on random JSON-like values:
   the same values back, or the first failing key's ``MalformedDocument``
@@ -32,7 +35,8 @@ reference path it replaces.
 
 States come from random walks, in dimensions 1-5 and in both search modes,
 driven by the reference enumeration so the walk never trusts the code it
-checks.  The other way round, the search must succeed with the reference
+checks; in dimensions 6-8 the walks ask ``is_applicable`` of random faces
+instead, as listing every face would take seconds per state.  The other way round, the search must succeed with the reference
 paths refusing.
 """
 
@@ -48,7 +52,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import flipcert as fc
 from flipcert.complexes import faces_of_dimension
 from flipcert.errors import FlipcertError
-from flipcert.moves import FaceTable, ReplayFailure, replay_f_vectors
+from flipcert.moves import (
+    FaceTable,
+    ReplayFailure,
+    f_vector_change,
+    replay_f_vectors,
+)
 from flipcert.reduction import (
     ReductionOptions,
     ReductionResult,
@@ -523,7 +532,7 @@ def corrupted_walks(draw):
     return start, moves
 
 
-def table_replay(k, moves):
+def star_replay(k, moves):
     """``replay_f_vectors`` in the shape ``reference_replay`` returns."""
     try:
         return replay_f_vectors(k, moves)
@@ -535,7 +544,94 @@ def table_replay(k, moves):
 @given(corrupted_walks())
 def test_face_table_replay_matches_sequential_apply_move(walk):
     start, moves = walk
-    assert table_replay(start, moves) == reference_replay(start, moves)
+    assert star_replay(start, moves) == reference_replay(start, moves)
+
+
+def drawn_move(rng, k, types):
+    """A move of ``k``: for each type of ``types`` in random order, up to 40
+    random faces of that type are judged by the reference ``is_applicable``,
+    and the first move found is returned; ``None`` if there is none."""
+    for i in rng.sample(types, len(types)):
+        faces = faces_of_dimension(k, k.dim - i)
+        for sigma in rng.sample(faces, min(len(faces), 40)):
+            move = fc.is_applicable(k, sigma)
+            if move is not None:
+                return move
+    return None
+
+
+@st.composite
+def high_dimensional_walks(draw):
+    """(start, moves): a walk asking for 4 to 12 moves in dimension 6-8
+    from the dual of a simplex or of a product of two simplices, strict or
+    free, maybe relabelled, often with one move corrupted; the moves after
+    it stay."""
+    dim = draw(st.integers(6, 8))
+    a = draw(st.integers(0, dim))
+    p = fc.simplex_polytope(dim + 1) if a == 0 else fc.product(
+        fc.simplex_polytope(a), fc.simplex_polytope(dim + 1 - a))
+    k = fc.dual_complex(p).complex
+    if draw(st.booleans()):
+        k = relabel(k, draw(st.integers(0, 2**16)))
+    types = list(range(draw(st.sampled_from((0, 1))), dim + 1))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    length = draw(st.integers(4, 12))
+    bad = draw(st.one_of(st.none(), st.integers(0, length - 1)))
+    start, moves = k, []
+    for index in range(length):
+        move = drawn_move(rng, k, types)
+        if move is None:
+            break
+        moves.append(corrupted(draw, k, move) if index == bad else move)
+        k = fc.apply_move(k, move)
+    return start, moves
+
+
+@FAST
+@given(high_dimensional_walks())
+def test_star_replay_matches_sequential_apply_move_in_dimensions_6_to_8(walk):
+    start, moves = walk
+    assert star_replay(start, moves) == reference_replay(start, moves)
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_f_vector_change_matches_recount_for_every_type(dim):
+    # type 0 on a facet of the simplex boundary; type i >= 1 on the dual of
+    # simplex(i) x simplex(dim + 1 - i), the join of the two boundaries,
+    # where sigma is a facet of the second and tau all of the first
+    moves = []
+    for i in range(dim + 1):
+        if i == 0:
+            k = fc.dual_complex(fc.simplex_polytope(dim + 1)).complex
+            sigma = k.facets[0]
+        else:
+            k = fc.dual_complex(fc.product(
+                fc.simplex_polytope(i), fc.simplex_polytope(dim + 1 - i))).complex
+            sigma = tuple(range(i + 2, dim + 3))
+        move = fc.is_applicable(k, sigma)
+        assert move.move_type == i
+        before, after = fc.f_vector(k), fc.f_vector(fc.apply_move(k, move))
+        change = tuple(b - a for a, b in zip(before, after))
+        assert f_vector_change(len(move.sigma), len(move.tau)) == change
+        assert f_vector_after(before, move) == after
+        moves.append(move)
+    assert sorted(m.move_type for m in moves) == list(range(dim + 1))
+
+
+def test_the_replay_enumerates_no_subsets(monkeypatch):
+    # past the one f_vector count of the start, which complexes does with
+    # its own itertools, a move costs set operations on vertex stars
+    from flipcert import moves
+
+    class NoSubsets:
+        def __getattr__(self, name):
+            raise AssertionError(f"the replay called itertools.{name}")
+
+    dual, result = reduced("cube-4", "strict")
+    monkeypatch.setattr(moves, "itertools", NoSubsets())
+    endpoint, pre = replay_f_vectors(dual.complex, result.moves)
+    assert endpoint == result.final
+    assert len(pre) == len(result.moves) > 1
 
 
 @pytest.mark.parametrize("move", [
@@ -551,9 +647,10 @@ def test_face_table_replay_matches_sequential_apply_move(walk):
     fc.Move((0, 1), (0, 4), 1),  # tau meets sigma
     fc.Move((-1,), (0, 1, 2), 2),  # negative id
     fc.Move((4, 4), (0, 1, 2), 2),  # repeated id
+    fc.Move((), (0, 1, 2, 4), 3),  # empty sigma, of the declared type
 ])
 def test_face_table_replay_matches_apply_move_on_each_corruption(b5, move):
-    assert table_replay(b5, [move]) == reference_replay(b5, [move])
+    assert star_replay(b5, [move]) == reference_replay(b5, [move])
 
 
 def reference_fits(value, kind):

@@ -7,7 +7,9 @@ from flipcert.polytopes import (
     BadDimension,
     DuplicateVertex,
     NotSimple,
+    NoVertices,
     UnknownFacetIndex,
+    UnusedFacet,
     UnknownName,
     make_polytope,
 )
@@ -44,6 +46,14 @@ def test_parse_bad_index_and_duplicate():
         make_polytope(1, ["a", "b"], [{False}, {True}])
     with pytest.raises(DuplicateVertex):
         make_polytope(2, ["a", "b", "c"], [[0, 1], [0, 1], [1, 2], [0, 2]])
+
+
+def test_parse_no_vertices():
+    # with no facets there is no unused facet to name: the polytope is empty
+    with pytest.raises(NoVertices, match="at least one vertex"):
+        polytope_from_doc({"dim": 2, "facets": [], "vertices": []})
+    with pytest.raises(UnusedFacet, match=r"facets \[0, 1\] appear"):
+        make_polytope(1, ["a", "b"], [])
 
 
 def test_parse_prism_document():

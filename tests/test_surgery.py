@@ -222,14 +222,14 @@ def test_exhaustive_mutation_sweep(corpus_certs):
 
 
 def test_empty_chain_never_counts_faces(monkeypatch):
-    # f_vector and the face table are exponential in the dimension: on
-    # simplex-22 either would exhaust memory, so both refuse
+    # f_vector and the replay's vertex stars are built only for a move:
+    # f_vector on simplex-22 would exhaust memory, so both refuse
     def refuse(*args):
         raise AssertionError("faces counted for an empty chain")
 
     dual = fc.dual_complex(fc.simplex_polytope(22))
     result = ReductionResult((), dual.complex, True, 0)
-    monkeypatch.setattr("flipcert.moves._recount", refuse)
+    monkeypatch.setattr("flipcert.moves._vertex_stars", refuse)
     calls = count_f_vector_calls(monkeypatch, refuse)
     cert = build_ledger(dual, result)
     assert cert.steps == ()
@@ -237,13 +237,14 @@ def test_empty_chain_never_counts_faces(monkeypatch):
     assert calls == []
 
 
-def test_empty_chain_builds_no_face_table(monkeypatch):
-    # the face table of simplex-24's dual would hold 25 * 2**25 faces; a
-    # refusing recount fails fast where a real one would exhaust memory
+def test_empty_chain_builds_no_vertex_stars(monkeypatch):
+    # simplex-24's dual holds 25 * 2**25 faces; a refusing count and star
+    # index fail fast where a replay that built them would exhaust memory
     def refuse(*args):
-        raise AssertionError("face table built for an empty chain")
+        raise AssertionError("replay state built for an empty chain")
 
-    monkeypatch.setattr("flipcert.moves._recount", refuse)
+    monkeypatch.setattr("flipcert.moves._vertex_stars", refuse)
+    count_f_vector_calls(monkeypatch, refuse)
     start = time.perf_counter()
     dual = fc.dual_complex(fc.simplex_polytope(24))
     assert fc.replay(dual.complex, []) is dual.complex
@@ -295,13 +296,14 @@ def test_the_checker_never_runs_the_search(monkeypatch, corpus_certs, path):
 
 
 def test_build_ledger_counts_faces_at_most_once(monkeypatch):
-    # the face-table replay counts every f-vector, so f_vector never runs
+    # the replay counts the dual's faces once and steps every later
+    # f-vector in closed form, so f_vector runs on the dual alone
     dual = fc.dual_complex(fc.named_polytope("cube-4"))
     result = fc.reduce_to_simplex(dual.complex, fc.ReductionOptions())
     calls = count_f_vector_calls(monkeypatch)
     cert = build_ledger(dual, result)
     assert len(cert.steps) == len(result.moves) > 1
-    assert calls == []
+    assert calls == [dual.complex]
 
 
 def test_psc_statement_for_simplex_names_projective_quotient(corpus_certs):
