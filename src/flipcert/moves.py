@@ -6,9 +6,10 @@ A move of type ``i`` on a complex of dimension ``n-1`` rewrites the star of a
 ``{s ∪ tau : s in boundary(sigma)}``.  Type 0 introduces a fresh vertex, type
 ``n-1`` deletes one, and the inverse move swaps the roles of ``sigma`` and
 ``tau``.  This module alone decides which move sequences are valid: a
-sequence replays on vertex stars, accepting each move by set intersections
-and stepping the f-vector in closed form.  The checker, ``surgery``, takes
-the replay from here and never imports the search.
+sequence replays on vertex stars, judging each move by set intersections
+and stepping the f-vector in closed form; ``apply_move`` is a one-move
+replay.  The checker, ``surgery``, takes the replay from here and never
+imports the search.  ``is_applicable`` is the tests' reference judge.
 
 The search's only state is a ``FaceTable`` that it keeps from move to
 move: it lists moves from the table and builds a ``Complex`` from it only
@@ -27,7 +28,6 @@ from typing import Optional
 
 from .complexes import (
     Complex,
-    NotAFace,
     as_simplex,
     f_vector,
     has_face,
@@ -76,7 +76,8 @@ def fresh_vertex(k) -> int:
 
 
 def is_applicable(k: Complex, sigma) -> Optional[Move]:
-    """The move at ``sigma``, if one exists.
+    """The move at ``sigma``, if one exists: the reference judge, read off
+    ``link`` and ``has_face``, that the tests hold ``apply_move`` to.
 
     A type-0 move (``sigma`` a facet) is always applicable with the canonical
     fresh vertex as ``tau``.  For type ``i >= 1`` the link of ``sigma`` must
@@ -99,34 +100,12 @@ def is_applicable(k: Complex, sigma) -> Optional[Move]:
 
 
 def apply_move(k: Complex, m: Move) -> Complex:
-    """Apply a bistellar move, validating it against the complex.
-
-    The supplied ``tau`` must match the one derived from the link (type >= 1)
-    or be a fresh vertex (type 0); mismatches are errors rather than silent
-    fixes so that recorded sequences replay bit-exactly.
-    """
-    sigma = as_simplex(m.sigma)
-    tau = as_simplex(m.tau)
-    try:
-        detected = is_applicable(k, sigma)
-    except NotAFace:
-        raise NotApplicable(f"sigma {sigma} is not a face")
-    i = k.dim - (len(sigma) - 1)
-    if m.move_type != i:
-        raise NotApplicable(
-            f"declared type {m.move_type} but sigma {sigma} has type {i}"
-        )
-    if detected is None:
-        raise NotApplicable(f"link of {sigma} is not a usable simplex boundary")
-    if i == 0:
-        if len(tau) != 1:
-            raise NotApplicable(f"type-0 tau must be a single vertex, got {tau}")
-        if tau[0] in k.support:
-            raise TauNotFresh(f"vertex {tau[0]} already in the support")
-    elif detected.tau != tau:
-        raise StaleTau(f"expected tau {detected.tau}, got {tau}")
-    kept = set(k.facets).difference(join_boundary(sigma, tau))
-    return Complex._derived(k.dim, kept.union(join_boundary(tau, sigma)))
+    """Apply a bistellar move: one replay step on the vertex stars of ``k``.
+    A ``tau`` that is not the link's (type >= 1) or not a fresh vertex (type
+    0) is refused, not fixed, so that recorded sequences replay bit-exactly."""
+    star = _vertex_stars(k.facets)
+    _apply(star, k.dim, m)
+    return Complex._derived(k.dim, set().union(*star.values()))
 
 
 def join_boundary(a, b) -> list:
@@ -252,38 +231,58 @@ def _vertex_stars(facets) -> dict:
     return star
 
 
+def _apply(star, dim: int, move) -> tuple:
+    """Apply ``move`` in place to the vertex stars of a complex of dimension
+    ``dim`` and return its f-vector change.  A move ``(sigma, tau)`` of type
+    ``i`` applies iff ``len(sigma) == dim + 1 - i`` and ``len(tau) == i + 1``
+    are not 0, the stars of ``sigma``'s vertices share exactly ``i + 1``
+    facets, all inside ``sigma ∪ tau`` (so they hold ``sigma`` and are
+    ``sigma * boundary(tau)``), and those of ``tau``'s share none: ``tau`` is
+    no face.  Else it raises the first of these faults: ``sigma`` no face,
+    the declared type, the link, a type-0 ``tau``, a ``tau`` not the link's."""
+    sigma, tau = as_simplex(move.sigma), as_simplex(move.tau)
+    s, t, stars = len(sigma), len(tau), [star[v] for v in sigma + tau]
+    if not (move.move_type == dim + 1 - s == t - 1 and s and t
+            and len(removed := set.intersection(*stars[:s])) == t
+            and all(map(set(sigma + tau).issuperset, removed))
+            and not set.intersection(*stars[s:])):
+        i, held = dim + 1 - s, set.intersection(*stars[:s]) if s else ()
+        rest = tuple(sorted(set().union(*held).difference(sigma)))
+        if s and not held:
+            raise NotApplicable(f"sigma {sigma} is not a face")
+        if move.move_type != i:
+            raise NotApplicable(
+                f"declared type {move.move_type} but sigma {sigma} has type {i}")
+        if not s or i and (len(held) != i + 1 or len(rest) != i + 1
+                           or set.intersection(*(star[v] for v in rest))):
+            raise NotApplicable(f"link of {sigma} is not a usable simplex boundary")
+        if i == 0 and t != 1:
+            raise NotApplicable(f"type-0 tau must be a single vertex, got {tau}")
+        if i == 0:  # sigma is a facet and tau one vertex: it is not fresh
+            raise TauNotFresh(f"vertex {tau[0]} already in the support")
+        raise StaleTau(f"expected tau {rest}, got {tau}")
+    for facet in removed:
+        for v in facet:
+            star[v].discard(facet)
+    for facet in join_boundary(tau, sigma):
+        for v in facet:
+            star[v].add(facet)
+    return f_vector_change(s, t)
+
+
 def replay_f_vectors(k: Complex, moves) -> tuple:
     """Apply a recorded move sequence; return its endpoint and the f-vector
     of the complex each move starts from, or raise ``ReplayFailure`` at the
     first move that does not apply.  Only given a move, it counts the faces
-    once and keeps each vertex's star, the facets holding it.  A move
-    ``(sigma, tau)`` of type ``i`` applies, as in ``apply_move``, iff
-    ``len(sigma) == dim + 1 - i`` and ``len(tau) == i + 1`` are not 0, the
-    stars of ``sigma``'s vertices share exactly ``i + 1`` facets, all inside
-    ``sigma ∪ tau`` (so they hold ``sigma`` and are ``sigma * boundary(tau)``),
-    and those of ``tau``'s share none: ``tau`` is no face."""
+    once and keeps each vertex's star, the facets holding it, which each
+    move steps by ``_apply``, as ``apply_move`` does for a single move."""
     if not moves:
         return k, []
     star, f, pre_f_vectors = _vertex_stars(k.facets), f_vector(k), []
     for index, move in enumerate(moves):
+        pre_f_vectors.append(f)
         try:
-            sigma, tau = as_simplex(move.sigma), as_simplex(move.tau)
-            s, t, stars = len(sigma), len(tau), [star[v] for v in sigma + tau]
-            if not (move.move_type == k.dim + 1 - s == t - 1 and s and t
-                    and len(removed := set.intersection(*stars[:s])) == t
-                    and all(map(set(sigma + tau).issuperset, removed))
-                    and not set.intersection(*stars[s:])):
-                held = set().union(*star.values())
-                apply_move(Complex(k.dim, held), move)  # raises the reason
-                raise AssertionError(f"the vertex stars reject move {index}")
+            f = tuple(map(operator.add, f, _apply(star, k.dim, move)))
         except FlipcertError as exc:
             raise ReplayFailure(index, exc)
-        pre_f_vectors.append(f)
-        f = tuple(map(operator.add, f, f_vector_change(s, t)))
-        for facet in removed:
-            for v in facet:
-                star[v].discard(facet)
-        for facet in join_boundary(tau, sigma):
-            for v in facet:
-                star[v].add(facet)
     return Complex(k.dim, set().union(*star.values())), pre_f_vectors

@@ -427,6 +427,14 @@ CLI_CASES = [
              exit_code=1, code="ReplayFailure",
              message="move 0 failed: NotApplicable: type-0 tau must be a "
                      "single vertex, got (7, 8)"),
+    # {∅} has no vertex stars: the refusal is worded from the move, not from
+    # a complex rebuilt from the stars, which would have no facet at all
+    cli_case("apply-empty-complex", ["apply", "@k", "--moves", "@m"],
+             {"@k": {"dim": -1, "facets": [[]]},
+              "@m": [{"type": 0, "sigma": [], "tau": [0]}]},
+             exit_code=1, code="ReplayFailure",
+             message="move 0 failed: NotApplicable: link of () is not a usable "
+                     "simplex boundary", check=_no_output),
     cli_case("apply-deep-moves", ["apply", "@k", "--moves", "-"],
              {"@k": {"dim": 2, "facets": B5_FACETS}}, stdin=DEEP_MOVES,
              code="MalformedDocument", check=_no_output),

@@ -21,13 +21,19 @@ reference path it replaces.
   the same facets computed from scratch;
 - the ledger's post f-vectors, read off the vertex-star replay, against
   ``f_vector`` of each complex the inverse moves reach, replayed backward
-  from the final one;
+  from the final one by ``reference_apply_move``: the link-based body
+  over ``is_applicable``, ``join_boundary`` and the validating
+  ``Complex(...)``, kept here since ``apply_move`` is a replay step;
 - the vertex-star replay (``replay_f_vectors``) against sequential
-  ``apply_move`` with ``f_vector`` on each state, on walks corrupted at one
-  move, in dimensions 1-5 and 6-8: the same endpoint and f-vectors, or the
-  same ``ReplayFailure``; and its closed-form f-vector change
-  (``moves.f_vector_change``) against ``f_vector`` before and after one
-  move of every type in dimensions 1-8;
+  ``reference_apply_move`` with ``f_vector`` on each state, on walks
+  corrupted at one move, in dimensions 1-5 and 6-8: the same endpoint and
+  f-vectors, or the same ``ReplayFailure``; and its closed-form f-vector
+  change (``moves.f_vector_change``) against ``f_vector`` before and after
+  one move of every type in dimensions 1-8;
+- ``apply_move``, one replay step on the vertex stars, against
+  ``reference_apply_move`` on those walks, on each corruption of ``b5``,
+  on ``{∅}`` and on moves with two faults at once, which fix the order of
+  the checks: the same complex, or the same error type and text;
 - ``serialize.fields``, with its one-pass list check, against the
   recursive per-key ``require`` it replaced, on random JSON-like values:
   the same values back, or the first failing key's ``MalformedDocument``
@@ -36,8 +42,10 @@ reference path it replaces.
 States come from random walks, in dimensions 1-5 and in both search modes,
 driven by the reference enumeration so the walk never trusts the code it
 checks; in dimensions 6-8 the walks ask ``is_applicable`` of random faces
-instead, as listing every face would take seconds per state.  The other way round, the search must succeed with the reference
-paths refusing.
+instead, as listing every face would take seconds per state.  The other
+way round, with the reference judge (``apply_move``, ``is_applicable``,
+``link`` and ``has_face``) refusing, the search must still succeed and the
+checker must give the same reports and ``ReplayFailure`` texts.
 """
 
 import ast
@@ -50,12 +58,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import flipcert as fc
-from flipcert.complexes import faces_of_dimension
-from flipcert.errors import FlipcertError
+from flipcert.complexes import NotAFace, as_simplex, faces_of_dimension
+from flipcert.errors import FlipcertError, InputError
 from flipcert.moves import (
     FaceTable,
+    NotApplicable,
     ReplayFailure,
+    StaleTau,
+    TauNotFresh,
     f_vector_change,
+    join_boundary,
     replay_f_vectors,
 )
 from flipcert.reduction import (
@@ -65,7 +77,15 @@ from flipcert.reduction import (
     f_vector_after,
 )
 from flipcert.serialize import MalformedDocument, _kind_name, fields
-from flipcert.surgery import build_ledger
+from flipcert.surgery import (
+    MalformedCertificate,
+    build_ledger,
+    certificate_from_doc,
+    certificate_to_doc,
+    verify_certificate,
+)
+
+from conftest import certificate_mutation_sites
 
 
 def reference_moves(k, allowed_types):
@@ -76,6 +96,33 @@ def reference_moves(k, allowed_types):
             if m is not None:
                 out.append(m)
     return out
+
+
+def reference_apply_move(k, m):
+    """The link-based ``apply_move``: the move ``is_applicable`` finds on
+    ``link`` and ``has_face`` at ``sigma``, checked against ``m`` in that
+    order, then the rewrite by ``join_boundary`` through the validating
+    ``Complex(...)``."""
+    sigma, tau = as_simplex(m.sigma), as_simplex(m.tau)
+    try:
+        detected = fc.is_applicable(k, sigma)
+    except NotAFace:
+        raise NotApplicable(f"sigma {sigma} is not a face")
+    i = k.dim - (len(sigma) - 1)
+    if m.move_type != i:
+        raise NotApplicable(
+            f"declared type {m.move_type} but sigma {sigma} has type {i}")
+    if detected is None:
+        raise NotApplicable(f"link of {sigma} is not a usable simplex boundary")
+    if i == 0:
+        if len(tau) != 1:
+            raise NotApplicable(f"type-0 tau must be a single vertex, got {tau}")
+        if tau[0] in k.support:
+            raise TauNotFresh(f"vertex {tau[0]} already in the support")
+    elif detected.tau != tau:
+        raise StaleTau(f"expected tau {detected.tau}, got {tau}")
+    kept = set(k.facets).difference(join_boundary(sigma, tau))
+    return fc.Complex(k.dim, kept.union(join_boundary(tau, sigma)))
 
 
 def relabel(k, seed):
@@ -388,10 +435,9 @@ def test_the_checker_never_imports_the_search():
     assert {"serialize", "moves", "polytopes", "quasitoric", "complexes"} < reached
 
 
-def test_the_search_never_runs_the_reference_path(monkeypatch):
-    # the search lists, applies and sweeps moves on its own fast paths: with
-    # the validating apply_move and is_applicable, and the facet scans link
-    # and has_face, refusing in every namespace, every search still succeeds
+def refuse_the_reference_judge(monkeypatch, who):
+    """Make ``apply_move``, ``is_applicable`` and the facet scans ``link``
+    and ``has_face`` raise, naming ``who``, in every flipcert namespace."""
     import sys
 
     from flipcert import complexes, moves
@@ -401,18 +447,53 @@ def test_the_search_never_runs_the_reference_path(monkeypatch):
         original = getattr(owner, name)
 
         def refuse(*args, name=name):
-            raise AssertionError(f"the search ran the reference {name}")
+            raise AssertionError(f"{who} ran the reference {name}")
 
         for module_name, module in list(sys.modules.items()):
             if (module_name.startswith("flipcert")
                     and getattr(module, name, None) is original):
                 monkeypatch.setattr(module, name, refuse)
         assert getattr(owner, name) is refuse
+
+
+def test_the_search_never_runs_the_reference_path(monkeypatch):
+    # the search lists, applies and sweeps moves on its own fast paths: with
+    # the reference judge refusing in every namespace, every search succeeds
+    refuse_the_reference_judge(monkeypatch, "the search")
     spheres = [fc.dual_complex(p).complex for p in fc.corpus().values()]
     spheres.append(relabel(fc.dual_complex(fc.named_polytope("cube-4")).complex, 5))
     for k in spheres:
         for mode in ("strict", "free"):
             assert fc.reduce_to_simplex(k, ReductionOptions(mode=mode)).succeeded
+
+
+def checker_outcomes(corpus_certs, b5):
+    """The report of every corpus certificate and of every mutation site of
+    it, then the replay of every corruption on ``b5`` and of the move on
+    ``{∅}``, in the shape ``reference_replay`` returns."""
+    out = []
+    for dual, result, cert in corpus_certs.values():
+        out.append(verify_certificate(build_ledger(dual, result)))
+        doc = certificate_to_doc(cert)
+        for label, mutate in certificate_mutation_sites(doc):
+            try:
+                parsed = certificate_from_doc(mutate(doc))
+            except (MalformedCertificate, InputError) as exc:
+                out.append((label, type(exc), str(exc)))
+            else:
+                out.append((label, verify_certificate(parsed)))
+    out.extend(star_replay(b5, [move]) for move in CORRUPTIONS)
+    out.append(star_replay(EMPTY, [fc.Move((), (0,), 0)]))
+    return out
+
+
+def test_the_checker_never_runs_the_reference_judge(monkeypatch, corpus_certs, b5):
+    # the replay words its refusals from its own vertex stars: with the
+    # reference judge refusing in every namespace, every report and every
+    # ReplayFailure text is what it is with the judge in place
+    expected = checker_outcomes(corpus_certs, b5)
+    refuse_the_reference_judge(monkeypatch, "the checker")
+    assert checker_outcomes(corpus_certs, b5) == expected
 
 
 def backward_post_f_vectors(dual, result):
@@ -422,7 +503,7 @@ def backward_post_f_vectors(dual, result):
     current = result.final
     out = []
     for m in reversed(result.moves):
-        current = fc.apply_move(current, fc.inverse_move(m))
+        current = reference_apply_move(current, fc.inverse_move(m))
         out.append(fc.f_vector(current))
     assert current == dual.complex
     return out
@@ -468,13 +549,13 @@ def test_ledger_post_f_vectors_match_backward_recount_on_walks(name, choices):
 
 
 def reference_replay(k, moves):
-    """Sequential ``apply_move`` and ``f_vector`` on the state each move
-    starts from: the endpoint and f-vectors, or the failing index and the
-    ``ReplayFailure`` text."""
+    """Sequential ``reference_apply_move`` and ``f_vector`` on the state each
+    move starts from: the endpoint and f-vectors, or the failing index and
+    the ``ReplayFailure`` text."""
     pre = []
     for index, move in enumerate(moves):
         try:
-            after = fc.apply_move(k, move)
+            after = reference_apply_move(k, move)
         except FlipcertError as exc:
             return index, str(ReplayFailure(index, exc))
         pre.append(fc.f_vector(k))
@@ -528,7 +609,7 @@ def corrupted_walks(draw):
             break
         move = candidates[choice % len(candidates)]
         moves.append(corrupted(draw, k, move) if index == bad else move)
-        k = fc.apply_move(k, move)
+        k = reference_apply_move(k, move)
     return start, moves
 
 
@@ -545,6 +626,37 @@ def star_replay(k, moves):
 def test_face_table_replay_matches_sequential_apply_move(walk):
     start, moves = walk
     assert star_replay(start, moves) == reference_replay(start, moves)
+
+
+def apply_outcome(apply, k, move):
+    """The complex ``apply`` returns, or its error's type and text."""
+    try:
+        return apply(k, move)
+    except FlipcertError as exc:
+        return type(exc), str(exc)
+
+
+def assert_apply_matches_reference(k, move):
+    """``apply_move`` against ``reference_apply_move``: the same complex,
+    or the same error; returns the reference's outcome."""
+    fast = apply_outcome(fc.apply_move, k, move)
+    reference = apply_outcome(reference_apply_move, k, move)
+    if isinstance(reference, fc.Complex):
+        assert_same_complex(fast, reference)
+    else:
+        assert fast == reference
+    return reference
+
+
+@FAST
+@given(corrupted_walks())
+def test_apply_move_matches_reference_on_corrupted_walks(walk):
+    # a refused move leaves the state as it was for the moves after it
+    k, moves = walk
+    for move in moves:
+        after = assert_apply_matches_reference(k, move)
+        if isinstance(after, fc.Complex):
+            k = after
 
 
 def drawn_move(rng, k, types):
@@ -583,7 +695,7 @@ def high_dimensional_walks(draw):
         if move is None:
             break
         moves.append(corrupted(draw, k, move) if index == bad else move)
-        k = fc.apply_move(k, move)
+        k = reference_apply_move(k, move)
     return start, moves
 
 
@@ -610,7 +722,7 @@ def test_f_vector_change_matches_recount_for_every_type(dim):
             sigma = tuple(range(i + 2, dim + 3))
         move = fc.is_applicable(k, sigma)
         assert move.move_type == i
-        before, after = fc.f_vector(k), fc.f_vector(fc.apply_move(k, move))
+        before, after = fc.f_vector(k), fc.f_vector(reference_apply_move(k, move))
         change = tuple(b - a for a, b in zip(before, after))
         assert f_vector_change(len(move.sigma), len(move.tau)) == change
         assert f_vector_after(before, move) == after
@@ -634,7 +746,8 @@ def test_the_replay_enumerates_no_subsets(monkeypatch):
     assert len(pre) == len(result.moves) > 1
 
 
-@pytest.mark.parametrize("move", [
+#: Moves on ``b5``: three that apply, then one of each corruption.
+CORRUPTIONS = [
     fc.Move((4,), (0, 1, 2), 2),  # applies, as do the next two
     fc.Move((0, 1), (4, 5), 1),
     fc.Move((0, 1, 4), (3,), 0),
@@ -648,9 +761,38 @@ def test_the_replay_enumerates_no_subsets(monkeypatch):
     fc.Move((-1,), (0, 1, 2), 2),  # negative id
     fc.Move((4, 4), (0, 1, 2), 2),  # repeated id
     fc.Move((), (0, 1, 2, 4), 3),  # empty sigma, of the declared type
-])
+]
+
+#: ``{∅}``: its one face, the empty one, carries no move.
+EMPTY = fc.Complex(-1, [()])
+
+
+@pytest.mark.parametrize("move", CORRUPTIONS)
 def test_face_table_replay_matches_apply_move_on_each_corruption(b5, move):
     assert star_replay(b5, [move]) == reference_replay(b5, [move])
+
+
+@pytest.mark.parametrize("name, move", [
+    *(("b5", move) for move in CORRUPTIONS),
+    # the cases of test_moves.py::test_apply_errors
+    ("b5", fc.Move((0, 1, 2), (6,), 0)),
+    ("b5", fc.Move((0, 1), (4, 6), 1)),
+    ("b5", fc.Move((0, 1, 4), (5,), 0)),
+    ("b5", fc.Move((0, 1), (4, 5), 2)),
+    ("empty", fc.Move((), (0,), 1)),
+    ("empty", fc.Move((), (0,), 0)),
+    # two faults at once, so that checking them in another order shows
+    ("b5", fc.Move((-1,), (0, 0), 2)),  # both ids bad
+    ("b5", fc.Move((4, 5), (0, 1), 2)),  # sigma no face, wrong type
+    ("b5", fc.Move((0,), (1, 2, 4), 1)),  # wrong type, link a 4-cycle
+    ("b5", fc.Move((0,), (1, 2, 4), 2)),  # link a 4-cycle, tau not its
+    ("empty", fc.Move((), (0, 1), 0)),  # no move at (), type-0 tau long
+    ("b5", fc.Move((0, 1, 4), (5, 6), 0)),  # type-0 tau long and not fresh
+])
+def test_apply_move_matches_reference_on_each_corruption(b5, name, move):
+    k = b5 if name == "b5" else EMPTY
+    assert_apply_matches_reference(k, move)
+    assert star_replay(k, [move]) == reference_replay(k, [move])
 
 
 def reference_fits(value, kind):

@@ -1,7 +1,7 @@
 import pytest
 
 import flipcert as fc
-from flipcert.moves import Move, ReplayFailure
+from flipcert.moves import Move, NotApplicable, ReplayFailure
 from flipcert.reduction import (
     BadInput,
     ReductionOptions,
@@ -172,6 +172,18 @@ def test_replay(delta3, b5):
         fc.replay(b5, [Move((0, 1, 2), (7,), 0)])
     assert info.value.index == 0
     assert type(info.value.reason).__name__ == "NotApplicable"
+
+
+def test_replay_on_the_empty_complex_names_the_move_refusal():
+    # {∅}: the empty face carries no move, as apply_move says
+    empty, move = fc.Complex(-1, [()]), Move((), (0,), 0)
+    with pytest.raises(ReplayFailure) as info:
+        fc.replay(empty, [move])
+    assert info.value.index == 0
+    assert str(info.value) == (
+        "move 0 failed: NotApplicable: link of () is not a usable simplex boundary")
+    with pytest.raises(NotApplicable, match=r"^link of \(\) is not a usable"):
+        fc.apply_move(empty, move)
 
 
 def test_canonical_form_identifies_relabelings(b5):

@@ -263,9 +263,9 @@ def test_empty_chain_builds_no_vertex_stars(monkeypatch):
 ))
 def test_the_checker_never_runs_the_search(monkeypatch, corpus_certs, path):
     # ledger and verify take their f-vectors and their verdicts from the
-    # face-table replay alone, on sound and on mutated certificates; the
-    # replay may call apply_move and is_applicable to name a rejected move's
-    # reason, but none of the search's paths
+    # vertex-star replay alone, on sound and on mutated certificates; it
+    # words a rejected move's reason from its own stars too, and
+    # test_fast_paths.py holds it off the reference judge
     import sys
 
     def refuse(*args):
