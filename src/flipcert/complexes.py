@@ -10,8 +10,9 @@ moves delete and create vertices, and relabeling would break replay.
 
 ``Complex(dim, facets)`` validates every facet and takes all outside data.
 The private ``Complex._derived`` only sorts and deduplicates facets cut out
-of a validated complex, or kept by the search from one; only ``link``,
-``moves.apply_move`` and ``moves.FaceTable.snapshot`` may call it.
+of a validated complex, kept by the search from one, or read off a checked
+``SimplePolytope``; only ``link``, ``moves.apply_move``,
+``moves.FaceTable.snapshot`` and ``polytopes.dual_complex`` may call it.
 """
 
 import itertools

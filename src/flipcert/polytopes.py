@@ -48,21 +48,23 @@ class UnknownName(InputError):
 
 @dataclass(frozen=True)
 class SimplePolytope:
-    """Simple polytope as facet names plus per-vertex incident facet sets."""
+    """Simple polytope: a tuple of distinct facet names and a nonempty tuple
+    of distinct vertices, each stored, however built, as the frozenset of
+    ``dim`` facet indices it was checked as; together they use every index."""
 
     dim: int
     facet_names: tuple
     vertices: tuple  # tuple of frozensets of facet indices
 
     def __post_init__(self):
-        n, m = self.dim, len(self.facet_names)
+        names, vertices = tuple(self.facet_names), tuple(map(frozenset, self.vertices))
+        n, m = self.dim, len(names)
         if n < 1:
             raise BadDimension(f"polytope dimension must be >= 1, got {n}")
-        if len(set(self.facet_names)) != m:
+        if len(set(names)) != m:
             raise DuplicateFacetName("facet names must be distinct")
-        used = set()
-        seen = set()
-        for v in self.vertices:
+        used, seen = set(), set()
+        for v in vertices:
             if len(v) != n:
                 raise NotSimple(
                     f"vertex {sorted(v)} lies on {len(v)} facets, expected {n}"
@@ -70,17 +72,18 @@ class SimplePolytope:
             for fi in v:
                 if not isinstance(fi, int) or isinstance(fi, bool) or not 0 <= fi < m:
                     raise UnknownFacetIndex(f"facet index {fi!r} out of range")
-            key = frozenset(v)
-            if key in seen:
+            if v in seen:
                 raise DuplicateVertex(f"vertex {sorted(v)} listed twice")
-            seen.add(key)
-            used |= key
+            seen.add(v)
+            used |= v
         if used != set(range(m)):
             raise UnusedFacet(
                 f"facets {sorted(set(range(m)) - used)} appear in no vertex"
             )
-        if not self.vertices:
+        if not vertices:
             raise NoVertices("a polytope needs at least one vertex")
+        object.__setattr__(self, "facet_names", names)
+        object.__setattr__(self, "vertices", vertices)
 
     @property
     def facet_count(self) -> int:
@@ -94,9 +97,8 @@ class SimplePolytope:
 
 
 def make_polytope(dim, facet_names, vertices) -> SimplePolytope:
-    return SimplePolytope(
-        dim, tuple(facet_names), tuple(frozenset(v) for v in vertices)
-    )
+    """Pack the arguments: ``SimplePolytope`` checks and stores them."""
+    return SimplePolytope(dim, facet_names, vertices)
 
 
 @dataclass(frozen=True)
@@ -118,7 +120,7 @@ def dual_complex(p: SimplePolytope) -> DualComplexMap:
     nonempty face.
     """
     facets = [tuple(sorted(v)) for v in p.vertices]
-    return DualComplexMap(polytope=p, complex=Complex(p.dim - 1, facets))
+    return DualComplexMap(polytope=p, complex=Complex._derived(p.dim - 1, facets))
 
 
 def simplex_polytope(n: int) -> SimplePolytope:
@@ -126,8 +128,7 @@ def simplex_polytope(n: int) -> SimplePolytope:
     if n < 1:
         raise BadDimension(f"simplex dimension must be >= 1, got {n}")
     names = [f"f{i}" for i in range(n + 1)]
-    vertices = [frozenset(c) for c in itertools.combinations(range(n + 1), n)]
-    return make_polytope(n, names, vertices)
+    return make_polytope(n, names, itertools.combinations(range(n + 1), n))
 
 
 def _fresh_name(name: str, taken: set) -> str:
@@ -185,9 +186,7 @@ _ICOSAHEDRON_FACETS = (
 def dodecahedron_polytope() -> SimplePolytope:
     """The combinatorial dodecahedron: 12 facets (one per icosahedron
     vertex), 20 vertices (one per icosahedron triangle)."""
-    names = [f"f{i}" for i in range(12)]
-    vertices = [frozenset(t) for t in _ICOSAHEDRON_FACETS]
-    return make_polytope(3, names, vertices)
+    return make_polytope(3, [f"f{i}" for i in range(12)], _ICOSAHEDRON_FACETS)
 
 
 _SIMPLEX_RE = re.compile(r"^simplex-([0-9]+)$")

@@ -224,10 +224,9 @@ def verify_certificate(cert: SurgeryCertificate) -> VerificationReport:
 
     def mirror_failure(k, step):
         move = moves[len(moves) - 1 - k]
-        expected = inverse_move(move)
         if step.index != k:
             return f"step {k} records index {step.index}"
-        if (step.sigma, step.tau) != (expected.sigma, expected.tau):
+        if (step.sigma, step.tau) != (move.tau, move.sigma):
             return f"step {k} does not invert reduction move {len(moves) - 1 - k}"
         if step.construction_type != n - 1 - move.move_type:
             return (

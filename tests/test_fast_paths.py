@@ -16,9 +16,10 @@ reference path it replaces.
   ``apply_move`` until none is left; and every state annealing lists,
   with the lower types alone, against that reference: it has no top-type
   move;
-- the trusted constructor ``Complex._derived``, and the ``link`` and
-  ``apply_move`` built on it, against the validating ``Complex(...)`` fed
-  the same facets computed from scratch;
+- the trusted constructor ``Complex._derived``, and the ``link``,
+  ``apply_move`` and ``dual_complex`` built on it, against the validating
+  ``Complex(...)`` fed the same facets computed from scratch, the duals on
+  the corpus, on products, and on relabelled, truncated polytopes;
 - the ledger's post f-vectors, read off the vertex-star replay, against
   ``f_vector`` of each complex the inverse moves reach, replayed backward
   from the final one by ``reference_apply_move``: the link-based body
@@ -50,6 +51,7 @@ checker must give the same reports and ``ReplayFailure`` texts.
 
 import ast
 import functools
+import itertools
 import math
 import pathlib
 import random
@@ -70,6 +72,7 @@ from flipcert.moves import (
     join_boundary,
     replay_f_vectors,
 )
+from flipcert.polytopes import CORPUS_NAMES, make_polytope
 from flipcert.reduction import (
     ReductionOptions,
     ReductionResult,
@@ -382,6 +385,50 @@ def test_link_matches_validating_build(state):
         assert_same_complex(fc.link(k, s), fc.Complex(k.dim - len(s), residues))
 
 
+def assert_dual_matches_validating_build(p):
+    reference = fc.Complex(p.dim - 1, [sorted(v) for v in p.vertices])
+    assert_same_complex(fc.dual_complex(p).complex, reference)
+
+
+def test_dual_matches_validating_build_on_the_corpus_and_products():
+    pool = list(fc.corpus().values())
+    for p in pool:
+        assert_dual_matches_validating_build(p)
+    for p, q in itertools.product(pool, repeat=2):
+        if p.dim + q.dim <= 6:
+            assert_dual_matches_validating_build(fc.product(p, q))
+
+
+def truncate_vertex(p, index):
+    """``p`` with vertex ``index`` cut off by a new facet: the vertex gives
+    way to one vertex per facet through it, on that facet and the new one."""
+    cut, new = p.vertices[index], p.facet_count
+    vertices = [v for v in p.vertices if v != cut] + [cut - {f} | {new} for f in cut]
+    return make_polytope(p.dim, p.facet_names + (f"cut{new}",), vertices)
+
+
+@st.composite
+def relabelled_truncations(draw):
+    """A corpus polytope of dimension >= 2, maybe times a segment or a
+    triangle, with vertices cut off, then built directly from lists with
+    its facets relabelled and its vertices shuffled."""
+    p = fc.named_polytope(draw(st.sampled_from(CORPUS_NAMES[1:])))
+    if draw(st.booleans()):
+        p = fc.product(p, fc.simplex_polytope(draw(st.integers(1, 2))))
+    for index in draw(st.lists(st.integers(0, 2**16), max_size=6)):
+        p = truncate_vertex(p, index % len(p.vertices))
+    label = draw(st.permutations(range(p.facet_count)))
+    names = [p.facet_names[label.index(i)] for i in range(p.facet_count)]
+    vertices = draw(st.permutations([[label[f] for f in v] for v in p.vertices]))
+    return fc.SimplePolytope(p.dim, names, vertices)
+
+
+@FAST
+@given(relabelled_truncations())
+def test_dual_matches_validating_build_on_relabelled_truncations(p):
+    assert_dual_matches_validating_build(p)
+
+
 def rewritten(k, m):
     """The facets of ``k`` off the star of sigma, plus ``(sigma - v) ∪ tau``
     for each ``v`` in sigma, built through the validating constructor."""
@@ -398,7 +445,7 @@ def test_rewrite_matches_apply_move(state):
         assert_same_complex(fc.apply_move(k, m), rewritten(k, m))
 
 
-def test_only_link_apply_move_and_the_face_table_use_the_trusted_constructor():
+def test_only_link_apply_move_the_face_table_and_the_dual_use_the_trusted_constructor():
     callers = set()
     for path in pathlib.Path(fc.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -409,6 +456,7 @@ def test_only_link_apply_move_and_the_face_table_use_the_trusted_constructor():
                         callers.add((path.name, function.name))
     assert callers == {
         ("complexes.py", "link"), ("moves.py", "apply_move"), ("moves.py", "snapshot"),
+        ("polytopes.py", "dual_complex"),
     }
 
 

@@ -5,9 +5,11 @@ import pytest
 import flipcert as fc
 from flipcert.polytopes import (
     BadDimension,
+    DuplicateFacetName,
     DuplicateVertex,
     NotSimple,
     NoVertices,
+    SimplePolytope,
     UnknownFacetIndex,
     UnusedFacet,
     UnknownName,
@@ -54,6 +56,73 @@ def test_parse_no_vertices():
         polytope_from_doc({"dim": 2, "facets": [], "vertices": []})
     with pytest.raises(UnusedFacet, match=r"facets \[0, 1\] appear"):
         make_polytope(1, ["a", "b"], [])
+
+
+#: (dim, facet names, vertices) and the refusal they meet, however the
+#: polytope is built; the later cases fix the order of the checks.
+REFUSALS = [
+    ((0, ["a"], [[0]]), BadDimension, "polytope dimension must be >= 1, got 0"),
+    ((1, ["a", "a"], [[0], [1]]), DuplicateFacetName, "facet names must be distinct"),
+    ((2, ["a", "b", "c"], [[0, 1, 2], [0, 1]]), NotSimple,
+     "vertex [0, 1, 2] lies on 3 facets, expected 2"),
+    ((2, ["a", "b", "c"], [[0, 1], [0, 2], [1, 9]]), UnknownFacetIndex,
+     "facet index 9 out of range"),
+    ((1, ["a", "b"], [{False}, {True}]), UnknownFacetIndex,
+     "facet index False out of range"),
+    ((1, ["a", "b"], [[-1], [0]]), UnknownFacetIndex, "facet index -1 out of range"),
+    ((1, ["a", "b"], [["0"], [1]]), UnknownFacetIndex, "facet index '0' out of range"),
+    ((2, ["a", "b", "c"], [[0, 1], [1, 0], [1, 2], [0, 2]]), DuplicateVertex,
+     "vertex [0, 1] listed twice"),
+    ((2, ["a", "b", "c", "d"], [[0, 1], [1, 2], [0, 2]]), UnusedFacet,
+     "facets [3] appear in no vertex"),
+    ((1, ["a", "b"], []), UnusedFacet, "facets [0, 1] appear in no vertex"),
+    ((2, [], []), NoVertices, "a polytope needs at least one vertex"),
+    ((0, ["a", "a"], [[0, 0, 0]]), BadDimension, "polytope dimension must be >= 1, got 0"),
+    ((1, ["a", "a"], [[0, 1]]), DuplicateFacetName, "facet names must be distinct"),
+    ((2, ["a", "b", "c"], [[0, 9], [0, 1, 2]]), UnknownFacetIndex,
+     "facet index 9 out of range"),
+    ((2, ["a", "b", "c"], [[0, 1], [0, 1], [1, 9]]), DuplicateVertex,
+     "vertex [0, 1] listed twice"),
+    ((2, ["a", "b", "c", "d"], [[0, 1], [0, 1, 2]]), NotSimple,
+     "vertex [0, 1, 2] lies on 3 facets, expected 2"),
+]
+
+
+@pytest.mark.parametrize("build", [make_polytope, SimplePolytope])
+@pytest.mark.parametrize("args, error, text", REFUSALS)
+def test_each_refusal_keeps_its_type_and_text(build, args, error, text):
+    with pytest.raises(error) as caught:
+        build(*args)
+    assert type(caught.value) is error and str(caught.value) == text
+
+
+@pytest.mark.parametrize("build", [make_polytope, SimplePolytope])
+def test_a_repeated_facet_index_is_not_a_vertex_however_built(build):
+    # (0, 0) is the one facet {0}: checked as a set, not as the listed pair
+    with pytest.raises(NotSimple) as caught:
+        build(2, ("a", "b", "c"), ((0, 0), (1, 2), (0, 2), (0, 1)))
+    assert str(caught.value) == "vertex [0] lies on 1 facets, expected 2"
+
+
+@pytest.mark.parametrize("build", [make_polytope, SimplePolytope])
+def test_an_unhashable_facet_index_is_a_type_error_however_built(build):
+    with pytest.raises(TypeError):
+        build(2, ["a", "b", "c"], [[[0], 1], [1, 2], [0, 2]])
+
+
+def test_a_polytope_built_directly_equals_make_polytope():
+    for name, p in fc.corpus().items():
+        names, vertices = list(p.facet_names), [sorted(v) for v in p.vertices]
+        reference = make_polytope(p.dim, names, vertices)
+        for built in (
+            SimplePolytope(p.dim, names, vertices),
+            SimplePolytope(p.dim, tuple(names), tuple(map(tuple, vertices))),
+        ):
+            assert built == reference == p, name
+            assert hash(built) == hash(reference) == hash(p), name
+            assert type(built.facet_names) is tuple, name
+            assert type(built.vertices) is tuple, name
+            assert all(type(v) is frozenset for v in built.vertices), name
 
 
 def test_parse_prism_document():
