@@ -5,16 +5,16 @@ A move of type ``i`` on a complex of dimension ``n-1`` rewrites the star of a
 ``tau`` not already present: the facets containing ``sigma`` are replaced by
 ``{s ∪ tau : s in boundary(sigma)}``.  Type 0 introduces a fresh vertex, type
 ``n-1`` deletes one, and the inverse move swaps the roles of ``sigma`` and
-``tau``.  This module alone decides which move sequences are valid: a
-sequence replays on vertex stars, judging each move by set intersections
-and stepping the f-vector in closed form; ``apply_move`` is a one-move
-replay.  The checker, ``surgery``, takes the replay from here and never
-imports the search.  ``is_applicable`` is the tests' reference judge.
+``tau``.  This module alone decides which move sequences are valid:
+``replay`` applies a sequence on vertex stars, judging each move by set
+intersections, and counts no faces; ``apply_move`` is a one-move replay.
+The checker, ``surgery``, takes the replay from here and never imports the
+search.  ``is_applicable`` is the tests' reference judge.
 
-The search's only state is a ``FaceTable`` that it keeps from move to
-move: it lists moves from the table and builds a ``Complex`` from it only
-on request.  The search and the replay share the closed form of the
-f-vector, never a move test: a fault in the search's table can only lose a
+The search's only state is a ``FaceTable``, the one lister of faces here;
+it keeps the table from move to move and builds a ``Complex`` only on request.
+The search and the checker share the closed form of the f-vector change,
+never a move test: a fault in the search's table can only lose a
 reduction, never pass a move that the replay would refuse.
 """
 
@@ -22,14 +22,12 @@ import collections
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Optional
 
 from .complexes import (
     Complex,
     as_simplex,
-    f_vector,
     has_face,
     is_boundary_of_simplex,
     link,
@@ -231,15 +229,15 @@ def _vertex_stars(facets) -> dict:
     return star
 
 
-def _apply(star, dim: int, move) -> tuple:
+def _apply(star, dim: int, move):
     """Apply ``move`` in place to the vertex stars of a complex of dimension
-    ``dim`` and return its f-vector change.  A move ``(sigma, tau)`` of type
-    ``i`` applies iff ``len(sigma) == dim + 1 - i`` and ``len(tau) == i + 1``
-    are not 0, the stars of ``sigma``'s vertices share exactly ``i + 1``
-    facets, all inside ``sigma ∪ tau`` (so they hold ``sigma`` and are
-    ``sigma * boundary(tau)``), and those of ``tau``'s share none: ``tau`` is
-    no face.  Else it raises the first of these faults: ``sigma`` no face,
-    the declared type, the link, a type-0 ``tau``, a ``tau`` not the link's."""
+    ``dim``.  A move ``(sigma, tau)`` of type ``i`` applies iff ``len(sigma)
+    == dim + 1 - i`` and ``len(tau) == i + 1`` are not 0, the stars of
+    ``sigma``'s vertices share exactly ``i + 1`` facets, all inside ``sigma
+    ∪ tau`` (so they hold ``sigma`` and are ``sigma * boundary(tau)``), and
+    those of ``tau``'s share none: ``tau`` is no face.  Else it raises the
+    first of these faults: ``sigma`` no face, the declared type, the link, a
+    type-0 ``tau``, a ``tau`` not the link's."""
     sigma, tau = as_simplex(move.sigma), as_simplex(move.tau)
     s, t, stars = len(sigma), len(tau), [star[v] for v in sigma + tau]
     if not (move.move_type == dim + 1 - s == t - 1 and s and t
@@ -267,22 +265,19 @@ def _apply(star, dim: int, move) -> tuple:
     for facet in join_boundary(tau, sigma):
         for v in facet:
             star[v].add(facet)
-    return f_vector_change(s, t)
 
 
-def replay_f_vectors(k: Complex, moves) -> tuple:
-    """Apply a recorded move sequence; return its endpoint and the f-vector
-    of the complex each move starts from, or raise ``ReplayFailure`` at the
-    first move that does not apply.  Only given a move, it counts the faces
-    once and keeps each vertex's star, the facets holding it, which each
+def replay(k: Complex, moves) -> Complex:
+    """Apply a recorded move sequence and return its endpoint, or raise
+    ``ReplayFailure`` at the first move that does not apply.  Only given a
+    move, it keeps each vertex's star, the facets holding it, which each
     move steps by ``_apply``, as ``apply_move`` does for a single move."""
     if not moves:
-        return k, []
-    star, f, pre_f_vectors = _vertex_stars(k.facets), f_vector(k), []
+        return k
+    star = _vertex_stars(k.facets)
     for index, move in enumerate(moves):
-        pre_f_vectors.append(f)
         try:
-            f = tuple(map(operator.add, f, _apply(star, k.dim, move)))
+            _apply(star, k.dim, move)
         except FlipcertError as exc:
             raise ReplayFailure(index, exc)
-    return Complex(k.dim, set().union(*star.values())), pre_f_vectors
+    return Complex(k.dim, set().union(*star.values()))

@@ -10,10 +10,10 @@ fabricated certificate.  A restart's only state is one
 updated in closed form; it lists every state from the table and builds a
 ``Complex`` only when its best state improves.  The sweep owns vertex
 removal (type ``dim``); annealing runs only on states the sweep leaves
-without such a move, so it draws the lower types alone.
-``replay`` is ``moves.replay_f_vectors`` without the f-vectors; it keeps
-its name here because ``cli apply``, ``flipcert.replay`` and the benchmark
-tracer use it.
+without such a move, so it draws the lower types alone.  Only
+``_check_sphere_candidate`` counts faces, once per ``reduce`` or
+``certify``.  ``replay`` is ``moves.replay``, bound here too for ``cli
+apply``, ``flipcert.replay`` and the benchmark tracer.
 """
 
 import itertools
@@ -25,8 +25,7 @@ from typing import Optional
 
 from .complexes import Complex, f_vector, is_boundary_of_simplex, is_pseudomanifold
 from .errors import FlipcertError, InputError
-from .moves import FaceTable, apply_move, enumerate_moves, f_vector_change
-from .moves import replay_f_vectors
+from .moves import FaceTable, apply_move, enumerate_moves, f_vector_change, replay
 
 
 class BadInput(InputError):
@@ -180,11 +179,6 @@ def reduce_to_simplex(k: Complex, opts=ReductionOptions()) -> ReductionResult:
             break
     _, moves, final = best
     return ReductionResult(moves, final, is_boundary_of_simplex(final), examined)
-
-
-def replay(k: Complex, moves) -> Complex:
-    """Apply a recorded move sequence, reporting the first failing index."""
-    return replay_f_vectors(k, moves)[0]
 
 
 def canonical_form(k: Complex) -> tuple:

@@ -7,17 +7,18 @@ acts as an equivariant surgery of codimension ``2n - 2i`` (equivalently
 ``2 + 2j`` for the reduction type ``j = n-1-i``), with type-0 moves each
 contributing one extra circle factor to the ambient torus.  A certificate
 records that chain with exact codimensions.  The ledger and verification
-each run one forward replay on vertex stars, which counts the faces once
-and steps every f-vector in closed form; verification recomputes every
-claim from it, never trusting the stored flags.
+each run one forward replay on vertex stars and count no faces: every
+f-vector is stepped back from the simplex boundary it ends on.
+Verification recomputes every claim, never trusting the stored flags.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 from .complexes import is_boundary_of_simplex
 from .errors import FlipcertError, InputError
-from .moves import ReplayFailure, inverse_move, replay_f_vectors
+from .moves import ReplayFailure, f_vector_change, inverse_move, replay
 from .polytopes import DualComplexMap, SimplePolytope, dual_complex
 from .quasitoric import CharacteristicPair, ShapeMismatch, quotient_descriptor
 from .serialize import (
@@ -105,29 +106,42 @@ def codimension_for(n: int, construction_type: int) -> int:
     return 2 * n - 2 * construction_type
 
 
+def _post_f_vectors(n: int, moves) -> list:
+    """Each step's post f-vector: the f-vector each reduction move starts
+    from, the last move's first, when ``moves`` replay to the boundary of
+    the ``n``-simplex, whose ``e``-faces are all ``C(n + 1, e + 1)`` sets of
+    ``e + 1`` vertices.  Exact: a move the replay accepts meets the
+    hypotheses of ``moves.f_vector_change``, so the f-vector before it is
+    the one after it less that change."""
+    f, posts = [math.comb(n + 1, e + 1) for e in range(n)], []
+    for move in reversed(moves):
+        change = f_vector_change(len(move.sigma), len(move.tau))
+        posts.append(f := tuple(a - b for a, b in zip(f, change)))
+    return posts
+
+
 def build_ledger(dual: DualComplexMap, result) -> SurgeryCertificate:
     """Translate a reduction whose ``final`` is a simplex boundary into the
     construction-direction surgery chain.  Of the ``ReductionResult`` it reads
     only ``moves`` and ``final``, never the ``succeeded`` flag.
 
     One vertex-star replay from the dual checks the moves, must end on
-    ``result.final``, proving the moves reach it, and yields the f-vector of
-    every state.  Step ``k`` undoes reduction move ``L-1-k``, so its post f-vector is
-    that of the complex the move starts from, as :func:`verify_certificate`
-    reads it too.  The base stage is the moment-angle manifold of the simplex
+    ``result.final``, proving the moves reach it, and counts no faces.
+    Step ``k`` undoes reduction move ``L-1-k``, so its post f-vector is that
+    of the complex the move starts from, as :func:`verify_certificate` reads
+    it too.  The base stage is the moment-angle manifold of the simplex
     (a sphere of dimension 2n+1) times one circle per construction-type-0 step.
     """
     if not is_boundary_of_simplex(result.final):
         raise NotReduced("the reduction did not reach a simplex boundary")
     try:
-        # pre_f_vectors: of the complex each reduction move starts from
-        endpoint, pre_f_vectors = replay_f_vectors(dual.complex, result.moves)
+        endpoint = replay(dual.complex, result.moves)
     except ReplayFailure as exc:
         raise NotReduced(f"reduction move {exc.index} does not replay: {exc.reason}")
     if endpoint != result.final:
         raise NotReduced("the reduction moves do not reach the recorded final complex")
     n = dual.polytope.dim
-    steps = []
+    posts, steps = _post_f_vectors(n, result.moves), []
     for index, move in enumerate(map(inverse_move, reversed(result.moves))):
         i = move.move_type
         steps.append(SurgeryStep(
@@ -137,7 +151,7 @@ def build_ledger(dual: DualComplexMap, result) -> SurgeryCertificate:
             tau=move.tau,
             codimension=codimension_for(n, i),
             torus_rank_delta=1 if i == 0 else 0,
-            post_f_vector=pre_f_vectors[-1 - index],
+            post_f_vector=posts[index],
         ))
     codims = [s.codimension for s in steps]
     return SurgeryCertificate(
@@ -192,8 +206,8 @@ def verify_certificate(cert: SurgeryCertificate) -> VerificationReport:
     complex and its hash, the reduction replay, every post f-vector, every
     codimension, the torus accounting and the verified flag are all rebuilt
     from the polytope and the move list and compared against the stored
-    values.  One vertex-star replay yields every post f-vector: once the steps
-    mirror the moves, step ``k`` undoes reduction move ``L-1-k`` exactly, so
+    values.  Once the vertex-star replay ends on a simplex boundary and the
+    steps mirror the moves, step ``k`` undoes reduction move ``L-1-k``, so
     it ends on the complex that move starts from.
     """
     checks = []
@@ -216,8 +230,7 @@ def verify_certificate(cert: SurgeryCertificate) -> VerificationReport:
 
     detail = "replay endpoint is not boundary of simplex"
     try:
-        endpoint, pre_f_vectors = replay_f_vectors(dual.complex, moves)
-        failed = not is_boundary_of_simplex(endpoint)
+        failed = not is_boundary_of_simplex(replay(dual.complex, moves))
     except ReplayFailure as exc:
         failed, detail = True, str(exc)
     reduction_ok = check("reduction-replay", failed, detail)
@@ -251,7 +264,7 @@ def verify_certificate(cert: SurgeryCertificate) -> VerificationReport:
     if reduction_ok and mirror_ok:
         detail = _first_failure(
             f"post f-vector mismatch at step {step.index}"
-            for step, expected in zip(cert.steps, reversed(pre_f_vectors))
+            for step, expected in zip(cert.steps, _post_f_vectors(n, moves))
             if expected != tuple(step.post_f_vector)
         )
     else:

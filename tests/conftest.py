@@ -11,6 +11,15 @@ import random
 import pytest
 
 import flipcert as fc
+from flipcert.errors import InputError
+from flipcert.moves import ReplayFailure
+from flipcert.reduction import ReductionResult
+from flipcert.surgery import (
+    build_ledger,
+    certificate_from_doc,
+    certificate_to_doc,
+    verify_certificate,
+)
 
 
 def brute_faces(k):
@@ -72,6 +81,67 @@ def count_f_vector_calls(monkeypatch, count=None):
 
 B5_FACETS = [[0, 1, 4], [1, 2, 4], [0, 2, 4], [0, 1, 5], [1, 2, 5], [0, 2, 5]]
 
+#: Moves on ``b5``: three that apply, then one of each corruption.
+CORRUPTIONS = [
+    fc.Move((4,), (0, 1, 2), 2),  # applies, as do the next two
+    fc.Move((0, 1), (4, 5), 1),
+    fc.Move((0, 1, 4), (3,), 0),
+    fc.Move((4,), (0, 1, 5), 2),  # wrong tau
+    fc.Move((4,), (0, 1, 2), 1),  # wrong declared type
+    fc.Move((4, 5), (0, 1), 1),  # sigma not a face
+    fc.Move((), (0, 1, 2), 2),  # empty sigma
+    fc.Move((4,), (), 2),  # empty tau
+    fc.Move((0, 1, 4), (2,), 0),  # type-0 tau in the support
+    fc.Move((0, 1), (0, 4), 1),  # tau meets sigma
+    fc.Move((-1,), (0, 1, 2), 2),  # negative id
+    fc.Move((4, 4), (0, 1, 2), 2),  # repeated id
+    fc.Move((), (0, 1, 2, 4), 3),  # empty sigma, of the declared type
+]
+
+#: ``{∅}``: its one face, the empty one, carries no move.
+EMPTY = fc.Complex(-1, [()])
+
+
+def star_replay(k, moves):
+    """``replay``'s endpoint, or the failing index and the
+    ``ReplayFailure`` text."""
+    try:
+        return fc.replay(k, moves)
+    except ReplayFailure as exc:
+        return exc.index, str(exc)
+
+
+def checker_outcomes(corpus_certs, b5):
+    """The report of every corpus certificate and of every mutation site of
+    it, then the replay of every corruption on ``b5`` and of the move on
+    ``{∅}``, in the shape ``star_replay`` returns."""
+    out = []
+    for dual, result, cert in corpus_certs.values():
+        out.append(verify_certificate(build_ledger(dual, result)))
+        doc = certificate_to_doc(cert)
+        for label, mutate in certificate_mutation_sites(doc):
+            try:
+                parsed = certificate_from_doc(mutate(doc))
+            except InputError as exc:
+                out.append((label, type(exc), str(exc)))
+            else:
+                out.append((label, verify_certificate(parsed)))
+    out.extend(star_replay(b5, [move]) for move in CORRUPTIONS)
+    out.append(star_replay(EMPTY, [fc.Move((), (0,), 0)]))
+    return out
+
+
+def simplex_segment_reduction(d):
+    """The dual of simplex-(d-1) x segment and its one-move reduction, made
+    by hand with no search: sigma is a segment facet, tau the d simplex
+    facets and the type d - 1; the final is the boundary of the d-simplex
+    on the other d + 1 facets."""
+    dual = fc.dual_complex(
+        fc.product(fc.simplex_polytope(d - 1), fc.simplex_polytope(1)))
+    move = fc.Move((d,), tuple(range(d)), d - 1)
+    final = fc.boundary_simplex(tuple(range(d)) + (d + 1,))
+    return dual, ReductionResult((move,), final, True, 0)
+
 
 @pytest.fixture
 def delta3():
@@ -96,8 +166,6 @@ def icosahedron():
 @pytest.fixture(scope="session")
 def corpus_certs():
     """(dual, reduction, certificate) for every corpus polytope, built once."""
-    from flipcert.surgery import build_ledger
-
     certs = {}
     for name, p in fc.corpus().items():
         dual = fc.dual_complex(p)

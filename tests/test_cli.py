@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import pathlib
+import resource
 import subprocess
 import sys
 
@@ -16,9 +17,14 @@ from flipcert.serialize import (
     polytope_to_doc,
 )
 from flipcert.moves import Move
-from flipcert.surgery import certificate_to_doc
+from flipcert.surgery import build_ledger, certificate_to_doc
 
-from conftest import B5_FACETS, certificate_mutation_sites
+from conftest import (
+    B5_FACETS,
+    certificate_mutation_sites,
+    count_f_vector_calls,
+    simplex_segment_reduction,
+)
 
 
 def run(capsys, argv):
@@ -500,16 +506,50 @@ def test_cli_outcomes(capsys, tmp_path, monkeypatch, argv, files, exit_code,
         check(out, paths)
 
 
-def run_module(argv, hash_seed="0"):
+def cap_memory():
+    """Hold a child to 1 GiB of address space, so that a count of faces
+    that would fill memory fails in the child instead."""
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+def run_module(argv, hash_seed="0", timeout=None):
     """``python -m flipcert`` in a fresh interpreter, importing the same
-    flipcert package this test imported."""
+    flipcert package this test imported; given a ``timeout``, the child is
+    also held to 1 GiB by ``cap_memory``."""
     package_root = str(pathlib.Path(fc.__file__).resolve().parent.parent)
     return subprocess.run(
         [sys.executable, "-m", "flipcert", *argv],
-        capture_output=True, text=True,
+        capture_output=True, text=True, timeout=timeout,
+        preexec_fn=cap_memory if timeout else None,
         env={"PYTHONHASHSEED": hash_seed, "PATH": "/usr/bin:/bin",
              "PYTHONPATH": package_root},
     )
+
+
+def test_dimension_30_certificate_verifies_and_applies(tmp_path, monkeypatch):
+    # the checker counts no faces, so a one-move certificate costs what its
+    # move costs: the dual of simplex-29 x segment holds 3 * 2**30 faces,
+    # which a count would neither finish nor fit in memory, so it refuses
+    def refuse(k):
+        raise AssertionError("faces counted at dimension 30")
+
+    count_f_vector_calls(monkeypatch, refuse)
+    dual, result = simplex_segment_reduction(30)
+    cert = certificate_to_doc(build_ledger(dual, result))
+    cpath = write_json(tmp_path / "c.json", cert)
+    kpath = write_json(tmp_path / "k.json", complex_to_doc(dual.complex))
+    mpath = write_json(
+        tmp_path / "m.json", move_sequence_to_doc(dual.complex, result.moves))
+    proc = run_module(["verify", cpath], timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    cert["steps"][-1]["post_f_vector"][-1] += 1
+    bad = write_json(tmp_path / "bad.json", cert)
+    proc = run_module(["verify", bad], timeout=10)
+    assert proc.returncode == 1
+    assert json.loads(proc.stderr)["location"] == "construction-replay"
+    proc = run_module(["apply", kpath, "--moves", mpath], timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == complex_to_doc(result.final)
 
 
 def test_unknown_flag_is_rejected(capsys, tmp_path):

@@ -20,17 +20,18 @@ reference path it replaces.
   ``apply_move`` and ``dual_complex`` built on it, against the validating
   ``Complex(...)`` fed the same facets computed from scratch, the duals on
   the corpus, on products, and on relabelled, truncated polytopes;
-- the ledger's post f-vectors, read off the vertex-star replay, against
-  ``f_vector`` of each complex the inverse moves reach, replayed backward
-  from the final one by ``reference_apply_move``: the link-based body
-  over ``is_applicable``, ``join_boundary`` and the validating
-  ``Complex(...)``, kept here since ``apply_move`` is a replay step;
-- the vertex-star replay (``replay_f_vectors``) against sequential
-  ``reference_apply_move`` with ``f_vector`` on each state, on walks
-  corrupted at one move, in dimensions 1-5 and 6-8: the same endpoint and
-  f-vectors, or the same ``ReplayFailure``; and its closed-form f-vector
-  change (``moves.f_vector_change``) against ``f_vector`` before and after
-  one move of every type in dimensions 1-8;
+- the ledger's post f-vectors, stepped back from the simplex boundary the
+  replay ends on, against ``f_vector`` of each complex the inverse moves
+  reach, replayed backward from the final one by ``reference_apply_move``:
+  the link-based body over ``is_applicable``, ``join_boundary`` and the
+  validating ``Complex(...)``, kept here since ``apply_move`` is a replay
+  step; and on the one-move certificates of simplex-(d-1) x segment, d =
+  2..12, against ``f_vector`` of the dual;
+- the vertex-star replay (``replay``) against sequential
+  ``reference_apply_move``, on walks corrupted at one move, in dimensions
+  1-5 and 6-8: the same endpoint, or the same ``ReplayFailure``; and the
+  closed-form f-vector change (``moves.f_vector_change``) against
+  ``f_vector`` before and after one move of every type in dimensions 1-8;
 - ``apply_move``, one replay step on the vertex stars, against
   ``reference_apply_move`` on those walks, on each corruption of ``b5``,
   on ``{∅}`` and on moves with two faults at once, which fix the order of
@@ -61,7 +62,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import flipcert as fc
 from flipcert.complexes import NotAFace, as_simplex, faces_of_dimension
-from flipcert.errors import FlipcertError, InputError
+from flipcert.errors import FlipcertError
 from flipcert.moves import (
     FaceTable,
     NotApplicable,
@@ -70,7 +71,6 @@ from flipcert.moves import (
     TauNotFresh,
     f_vector_change,
     join_boundary,
-    replay_f_vectors,
 )
 from flipcert.polytopes import CORPUS_NAMES, make_polytope
 from flipcert.reduction import (
@@ -80,15 +80,16 @@ from flipcert.reduction import (
     f_vector_after,
 )
 from flipcert.serialize import MalformedDocument, _kind_name, fields
-from flipcert.surgery import (
-    MalformedCertificate,
-    build_ledger,
-    certificate_from_doc,
-    certificate_to_doc,
-    verify_certificate,
-)
+from flipcert.surgery import build_ledger, verify_certificate
 
-from conftest import certificate_mutation_sites
+from conftest import (
+    CORRUPTIONS,
+    EMPTY,
+    checker_outcomes,
+    count_f_vector_calls,
+    simplex_segment_reduction,
+    star_replay,
+)
 
 
 def reference_moves(k, allowed_types):
@@ -515,26 +516,6 @@ def test_the_search_never_runs_the_reference_path(monkeypatch):
             assert fc.reduce_to_simplex(k, ReductionOptions(mode=mode)).succeeded
 
 
-def checker_outcomes(corpus_certs, b5):
-    """The report of every corpus certificate and of every mutation site of
-    it, then the replay of every corruption on ``b5`` and of the move on
-    ``{∅}``, in the shape ``reference_replay`` returns."""
-    out = []
-    for dual, result, cert in corpus_certs.values():
-        out.append(verify_certificate(build_ledger(dual, result)))
-        doc = certificate_to_doc(cert)
-        for label, mutate in certificate_mutation_sites(doc):
-            try:
-                parsed = certificate_from_doc(mutate(doc))
-            except (MalformedCertificate, InputError) as exc:
-                out.append((label, type(exc), str(exc)))
-            else:
-                out.append((label, verify_certificate(parsed)))
-    out.extend(star_replay(b5, [move]) for move in CORRUPTIONS)
-    out.append(star_replay(EMPTY, [fc.Move((), (0,), 0)]))
-    return out
-
-
 def test_the_checker_never_runs_the_reference_judge(monkeypatch, corpus_certs, b5):
     # the replay words its refusals from its own vertex stars: with the
     # reference judge refusing in every namespace, every report and every
@@ -596,19 +577,26 @@ def test_ledger_post_f_vectors_match_backward_recount_on_walks(name, choices):
     assert posts == backward_post_f_vectors(dual, walked)
 
 
+@pytest.mark.parametrize("d", range(2, 13))
+def test_one_move_post_f_vector_matches_a_count_up_to_dimension_12(d):
+    # the one step undoes the removal of a segment vertex, so it ends on the
+    # dual itself: its f-vector, counted here, is the one stepped back from
+    # the boundary of the d-simplex
+    dual, result = simplex_segment_reduction(d)
+    cert = build_ledger(dual, result)
+    assert [step.post_f_vector for step in cert.steps] == [fc.f_vector(dual.complex)]
+    assert verify_certificate(cert).established
+
+
 def reference_replay(k, moves):
-    """Sequential ``reference_apply_move`` and ``f_vector`` on the state each
-    move starts from: the endpoint and f-vectors, or the failing index and
-    the ``ReplayFailure`` text."""
-    pre = []
+    """Sequential ``reference_apply_move``: the endpoint, or the failing
+    index and the ``ReplayFailure`` text."""
     for index, move in enumerate(moves):
         try:
-            after = reference_apply_move(k, move)
+            k = reference_apply_move(k, move)
         except FlipcertError as exc:
             return index, str(ReplayFailure(index, exc))
-        pre.append(fc.f_vector(k))
-        k = after
-    return k, pre
+    return k
 
 
 def corrupted(draw, k, move):
@@ -659,14 +647,6 @@ def corrupted_walks(draw):
         moves.append(corrupted(draw, k, move) if index == bad else move)
         k = reference_apply_move(k, move)
     return start, moves
-
-
-def star_replay(k, moves):
-    """``replay_f_vectors`` in the shape ``reference_replay`` returns."""
-    try:
-        return replay_f_vectors(k, moves)
-    except ReplayFailure as exc:
-        return exc.index, str(exc)
 
 
 @FAST
@@ -779,40 +759,22 @@ def test_f_vector_change_matches_recount_for_every_type(dim):
 
 
 def test_the_replay_enumerates_no_subsets(monkeypatch):
-    # past the one f_vector count of the start, which complexes does with
-    # its own itertools, a move costs set operations on vertex stars
+    # the replay counts no faces: with f_vector refused everywhere and
+    # no itertools in moves, a move costs set operations on vertex stars
     from flipcert import moves
 
     class NoSubsets:
         def __getattr__(self, name):
             raise AssertionError(f"the replay called itertools.{name}")
 
+    def refuse(k):
+        raise AssertionError("the replay counted faces")
+
     dual, result = reduced("cube-4", "strict")
+    assert len(result.moves) > 1
     monkeypatch.setattr(moves, "itertools", NoSubsets())
-    endpoint, pre = replay_f_vectors(dual.complex, result.moves)
-    assert endpoint == result.final
-    assert len(pre) == len(result.moves) > 1
-
-
-#: Moves on ``b5``: three that apply, then one of each corruption.
-CORRUPTIONS = [
-    fc.Move((4,), (0, 1, 2), 2),  # applies, as do the next two
-    fc.Move((0, 1), (4, 5), 1),
-    fc.Move((0, 1, 4), (3,), 0),
-    fc.Move((4,), (0, 1, 5), 2),  # wrong tau
-    fc.Move((4,), (0, 1, 2), 1),  # wrong declared type
-    fc.Move((4, 5), (0, 1), 1),  # sigma not a face
-    fc.Move((), (0, 1, 2), 2),  # empty sigma
-    fc.Move((4,), (), 2),  # empty tau
-    fc.Move((0, 1, 4), (2,), 0),  # type-0 tau in the support
-    fc.Move((0, 1), (0, 4), 1),  # tau meets sigma
-    fc.Move((-1,), (0, 1, 2), 2),  # negative id
-    fc.Move((4, 4), (0, 1, 2), 2),  # repeated id
-    fc.Move((), (0, 1, 2, 4), 3),  # empty sigma, of the declared type
-]
-
-#: ``{∅}``: its one face, the empty one, carries no move.
-EMPTY = fc.Complex(-1, [()])
+    count_f_vector_calls(monkeypatch, refuse)
+    assert moves.replay(dual.complex, result.moves) == result.final
 
 
 @pytest.mark.parametrize("move", CORRUPTIONS)

@@ -23,7 +23,11 @@ from flipcert.surgery import (
     verify_certificate,
 )
 
-from conftest import certificate_mutation_sites, count_f_vector_calls
+from conftest import (
+    certificate_mutation_sites,
+    checker_outcomes,
+    count_f_vector_calls,
+)
 
 
 def test_simplex_certificates_are_trivial_chains(corpus_certs):
@@ -295,15 +299,20 @@ def test_the_checker_never_runs_the_search(monkeypatch, corpus_certs, path):
     assert refuted
 
 
-def test_build_ledger_counts_faces_at_most_once(monkeypatch):
-    # the replay counts the dual's faces once and steps every later
-    # f-vector in closed form, so f_vector runs on the dual alone
-    dual = fc.dual_complex(fc.named_polytope("cube-4"))
-    result = fc.reduce_to_simplex(dual.complex, fc.ReductionOptions())
-    calls = count_f_vector_calls(monkeypatch)
-    cert = build_ledger(dual, result)
-    assert len(cert.steps) == len(result.moves) > 1
-    assert calls == [dual.complex]
+def test_the_checker_counts_no_faces(monkeypatch, corpus_certs, b5):
+    # the replay counts no faces, and the ledger and verify step every
+    # f-vector back from the simplex boundary's closed form: with f_vector
+    # refused everywhere, build_ledger, verify_certificate and replay give
+    # what they give unpatched on every corpus certificate, every mutation
+    # site and every corrupted move
+    def refuse(k):
+        raise AssertionError("the checker counted faces")
+
+    expected = checker_outcomes(corpus_certs, b5)
+    assert any(len(cert.steps) > 1 for _, _, cert in corpus_certs.values())
+    calls = count_f_vector_calls(monkeypatch, refuse)
+    assert checker_outcomes(corpus_certs, b5) == expected
+    assert calls == []
 
 
 def test_psc_statement_for_simplex_names_projective_quotient(corpus_certs):
