@@ -5,8 +5,8 @@ the empty tuple is the empty simplex (dimension -1).  A :class:`Complex` is a
 pure complex: every facet has the same dimension, and all lower faces are
 derived on demand.  Values are frozen slotted dataclasses that copy and pickle.
 
-Vertex ids are arbitrary non-negative integers and need not be contiguous:
-moves delete and create vertices, and relabeling would break replay.
+Vertex ids are non-negative ints by ``is_int``, the one integer rule, and need
+not be contiguous: moves delete and create vertices; relabeling breaks replay.
 
 ``Complex(dim, facets)`` validates every facet and takes all outside data.
 The private ``Complex._derived`` only sorts and deduplicates facets cut out
@@ -55,12 +55,20 @@ class DimensionTooLow(InputError):
     pass
 
 
+def is_int(v) -> bool:
+    """The one integer rule of every gate: an int that is not a bool."""
+    return type(v) is int or (isinstance(v, int) and not isinstance(v, bool))
+
+
 def as_simplex(vertices) -> Simplex:
-    """Normalize an iterable of vertex ids into a sorted simplex tuple."""
-    vs = tuple(sorted(vertices))
+    """Judge every vertex id, then sort them into a simplex tuple."""
+    vs = tuple(vertices)
     for v in vs:
-        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+        if not is_int(v):
             raise BadVertexId(f"vertex id {v!r} is not a non-negative integer")
+    vs = tuple(sorted(vs))
+    if vs and vs[0] < 0:  # the smallest id is named, whatever the order given
+        raise BadVertexId(f"vertex id {vs[0]!r} is not a non-negative integer")
     for a, b in zip(vs, vs[1:]):
         if a == b:
             raise DuplicateVertexInFacet(f"vertex {a} repeated in {vs}")

@@ -10,7 +10,7 @@ import itertools
 import re
 from dataclasses import dataclass, replace
 
-from .complexes import Complex
+from .complexes import Complex, is_int
 from .errors import InputError
 
 
@@ -70,7 +70,7 @@ class SimplePolytope:
                     f"vertex {sorted(v)} lies on {len(v)} facets, expected {n}"
                 )
             for fi in v:
-                if not isinstance(fi, int) or isinstance(fi, bool) or not 0 <= fi < m:
+                if not is_int(fi) or not 0 <= fi < m:
                     raise UnknownFacetIndex(f"facet index {fi!r} out of range")
             if v in seen:
                 raise DuplicateVertex(f"vertex {sorted(v)} listed twice")

@@ -9,6 +9,7 @@ computed in exact integer arithmetic, so the ±1 test never sees rounding.
 
 from dataclasses import dataclass
 
+from .complexes import is_int
 from .errors import FlipcertError, InputError
 from .polytopes import SimplePolytope, simplex_polytope
 
@@ -38,10 +39,7 @@ class CharacteristicPair:
             if len(row) != m:
                 raise ShapeMismatch(f"row of length {len(row)}, expected {m} columns")
             for entry in row:
-                # every pair is checked when built; exact ints skip the rest
-                if type(entry) is not int and (
-                    not isinstance(entry, int) or isinstance(entry, bool)
-                ):
+                if not is_int(entry):
                     raise ShapeMismatch(f"non-integer entry {entry!r}")
 
 

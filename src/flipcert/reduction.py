@@ -23,7 +23,8 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .complexes import Complex, f_vector, is_boundary_of_simplex, is_pseudomanifold
+from .complexes import (
+    Complex, f_vector, is_boundary_of_simplex, is_int, is_pseudomanifold)
 from .errors import FlipcertError, InputError
 from .moves import FaceTable, apply_move, enumerate_moves, f_vector_change, replay
 
@@ -160,7 +161,8 @@ def reduce_to_simplex(k: Complex, opts=ReductionOptions()) -> ReductionResult:
     """
     if opts.mode not in ("strict", "free"):
         raise BadInput(f"unknown mode {opts.mode!r}")
-    if opts.max_steps < 0 or opts.restarts < 1:
+    counts = (opts.max_steps, opts.restarts, opts.rng_seed)
+    if not all(map(is_int, counts)) or opts.max_steps < 0 or opts.restarts < 1:
         raise BadInput("invalid search options")
     f = _check_sphere_candidate(k)
     lowest = 1 if opts.mode == "strict" else 0

@@ -9,7 +9,7 @@ algorithm name so certificates record how they were hashed.
 import hashlib
 import json
 
-from .complexes import Complex
+from .complexes import Complex, is_int
 from .errors import InputError
 from .moves import Move
 from .polytopes import SimplePolytope, make_polytope
@@ -31,20 +31,14 @@ def digest(doc) -> str:
 
 def _fits(value, kind) -> bool:
     if isinstance(kind, list):
-        plain = kind[0]
-        if isinstance(plain, type) and isinstance(value, list):  # one pass
-            if plain is int:
-                return all(type(v) is int or _fits(v, int) for v in value)
-            return all(isinstance(v, plain) for v in value)
-        return isinstance(value, list) and all(_fits(v, plain) for v in value)
+        inner = kind[0]
+        return isinstance(value, list) and all(
+            type(v) is inner or _fits(v, inner) for v in value)
     if isinstance(kind, tuple):
         return any(_fits(value, k) for k in kind)
     if kind is None:
         return value is None
-    if kind is int:  # an exact int first; a subclass other than bool fits too
-        return type(value) is int or (isinstance(value, int)
-                                      and not isinstance(value, bool))
-    return isinstance(value, kind)
+    return is_int(value) if kind is int else isinstance(value, kind)
 
 
 def _kind_name(kind) -> str:
@@ -58,8 +52,8 @@ def _kind_name(kind) -> str:
 def fields(doc, where, /, **kinds) -> list:
     """The values of ``doc`` at the keys of ``kinds``, checked in the order
     given and returned in that order.  A kind is a type, ``None`` for null,
-    ``[k]`` for a list of kind ``k`` or a tuple of alternatives.  Bools
-    never count as ints.  A list of a plain type is checked in one pass."""
+    ``[k]`` for a list of kind ``k`` or a tuple of alternatives.  Ints are
+    judged by ``complexes.is_int``, the one integer rule: never a bool."""
     values = []
     for key, kind in kinds.items():
         if not isinstance(doc, dict) or key not in doc:

@@ -6,6 +6,7 @@ import pytest
 
 import flipcert as fc
 from flipcert.complexes import (
+    BadVertexId,
     DimensionTooLow,
     DuplicateVertexInFacet,
     EmptySimplex,
@@ -37,6 +38,20 @@ def test_new_complex_wrong_facet_size():
 def test_new_complex_duplicate_vertex():
     with pytest.raises(DuplicateVertexInFacet):
         fc.Complex(2, [[0, 1, 1]])
+
+
+@pytest.mark.parametrize("bad", ["a", None, (0,)])
+def test_new_complex_judges_each_id_before_it_sorts(bad):
+    # beside int ids, an id that does not compare with them is refused by
+    # name, not met by a sort
+    with pytest.raises(BadVertexId) as info:
+        fc.Complex(2, [[0, 1, 2], [0, 1, bad]])
+    assert str(info.value) == f"vertex id {bad!r} is not a non-negative integer"
+
+
+def test_new_complex_names_the_smallest_negative_id():
+    with pytest.raises(BadVertexId, match=r"^vertex id -2 is not a non-negative"):
+        fc.Complex(2, [[3, -1, -2]])
 
 
 def test_has_face(delta3, b5):

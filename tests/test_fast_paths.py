@@ -61,7 +61,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import flipcert as fc
-from flipcert.complexes import NotAFace, as_simplex, faces_of_dimension
+from flipcert.complexes import BadVertexId, NotAFace, as_simplex, faces_of_dimension
 from flipcert.errors import FlipcertError
 from flipcert.moves import (
     FaceTable,
@@ -72,8 +72,15 @@ from flipcert.moves import (
     f_vector_change,
     join_boundary,
 )
-from flipcert.polytopes import CORPUS_NAMES, make_polytope
+from flipcert.polytopes import (
+    CORPUS_NAMES,
+    SimplePolytope,
+    UnknownFacetIndex,
+    make_polytope,
+)
+from flipcert.quasitoric import CharacteristicPair, ShapeMismatch
 from flipcert.reduction import (
+    BadInput,
     ReductionOptions,
     ReductionResult,
     _greedy_vertex_removals,
@@ -882,6 +889,41 @@ def test_fields_matches_recursive_reference_on_edge_cases():
         for kind in KINDS:
             assert (require_outcome(one_field, value, kind)
                     == require_outcome(reference_require, value, kind)), (value, kind)
+
+
+def int_gates(v, b5):
+    """Every gate that judges an int of outside data, fed ``v``: each a
+    call, the error it refuses ``v`` with and that error's text."""
+    on_v = [[0, 1], [1, 2], [2, 3], [3, v], [v, 0]]  # a pentagon's vertices
+    pentagon = make_polytope(2, list("abcde"), [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0]])
+    return [
+        (lambda: fields({"v": v}, "doc", v=int), MalformedDocument,
+         f"doc: 'v' must be int, got {type(v).__name__}"),
+        (lambda: fields({"v": [0, v]}, "doc", v=[int]), MalformedDocument,
+         "doc: 'v' must be list of int, got list"),
+        (lambda: as_simplex([0, v]), BadVertexId,
+         f"vertex id {v!r} is not a non-negative integer"),
+        *[(functools.partial(build, 2, list("abcde"), on_v), UnknownFacetIndex,
+           f"facet index {v!r} out of range") for build in (make_polytope, SimplePolytope)],
+        (lambda: CharacteristicPair(pentagon, ((1, 0, v, 0, 1), (0, 1, 0, 1, 1))),
+         ShapeMismatch, f"non-integer entry {v!r}"),
+        *[(functools.partial(fc.reduce_to_simplex, b5, ReductionOptions(
+            **{"max_steps": 20, "restarts": 1, count: v})), BadInput,
+           "invalid search options") for count in ("max_steps", "restarts", "rng_seed")],
+    ]
+
+
+@pytest.mark.parametrize("v", [Id(4), True, 1.5, "1", None])
+def test_every_gate_judges_ints_by_one_rule(b5, v):
+    """An int subclass passes every gate; each gate refuses what is no int
+    with its own error and text."""
+    for gate, error, text in int_gates(v, b5):
+        if type(v) is Id:
+            gate()
+            continue
+        with pytest.raises(error) as info:
+            gate()
+        assert str(info.value) == text
 
 
 def read_outcome(read):

@@ -1,6 +1,7 @@
 import pytest
 
 import flipcert as fc
+from flipcert.complexes import BadVertexId
 from flipcert.moves import Move, NotApplicable, StaleTau, TauNotFresh, fresh_vertex
 
 from conftest import walk_pairs
@@ -46,6 +47,18 @@ def test_apply_errors(b5):
         fc.apply_move(b5, Move((0, 1), (4, 5), 2))  # declared type is wrong
     with pytest.raises(NotApplicable):  # {∅}: the empty face has type 0
         fc.apply_move(fc.Complex(-1, [()]), Move((), (0,), 1))
+
+
+@pytest.mark.parametrize("bad", ["a", None, (0,)])
+def test_a_bad_id_beside_int_ids_is_refused_by_name(b5, bad):
+    text = f"vertex id {bad!r} is not a non-negative integer"
+    with pytest.raises(BadVertexId) as info:
+        fc.is_applicable(b5, (0, bad))
+    assert str(info.value) == text
+    for move in (Move((0, bad), (4, 5), 1), Move((0, 1), (4, bad), 1)):
+        with pytest.raises(BadVertexId) as info:
+            fc.apply_move(b5, move)
+        assert str(info.value) == text
 
 
 def test_empty_face_carries_no_move(delta3):

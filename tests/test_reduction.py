@@ -147,6 +147,15 @@ def test_reduce_bad_input():
         )
 
 
+@pytest.mark.parametrize("options", [
+    {"max_steps": 1.5}, {"restarts": 2.0}, {"max_steps": "9"},
+    {"restarts": True}, {"rng_seed": "7"}, {"rng_seed": 1.5},
+])
+def test_reduce_refuses_search_options_that_are_not_ints(b5, options):
+    with pytest.raises(BadInput, match=r"^invalid search options$"):
+        fc.reduce_to_simplex(b5, ReductionOptions(**options))
+
+
 def test_reduce_exhaustion_is_honest(octahedron):
     result = fc.reduce_to_simplex(
         octahedron, ReductionOptions(max_steps=0, restarts=1)
@@ -172,6 +181,15 @@ def test_replay(delta3, b5):
         fc.replay(b5, [Move((0, 1, 2), (7,), 0)])
     assert info.value.index == 0
     assert type(info.value.reason).__name__ == "NotApplicable"
+
+
+@pytest.mark.parametrize("bad", ["a", None, (0,)])
+def test_replay_names_a_bad_id_beside_int_ids(b5, bad):
+    with pytest.raises(ReplayFailure) as info:
+        fc.replay(b5, [Move((4,), (0, 1, 2), 2), Move((0, bad), (1,), 1)])
+    assert info.value.index == 1
+    assert str(info.value) == (
+        f"move 1 failed: BadVertexId: vertex id {bad!r} is not a non-negative integer")
 
 
 def test_replay_on_the_empty_complex_names_the_move_refusal():
