@@ -65,13 +65,13 @@ class SimplePolytope:
             raise DuplicateFacetName("facet names must be distinct")
         used, seen = set(), set()
         for v in vertices:
+            for fi in v:  # judged before any wording sorts them
+                if not is_int(fi) or not 0 <= fi < m:
+                    raise UnknownFacetIndex(f"facet index {fi!r} out of range")
             if len(v) != n:
                 raise NotSimple(
                     f"vertex {sorted(v)} lies on {len(v)} facets, expected {n}"
                 )
-            for fi in v:
-                if not is_int(fi) or not 0 <= fi < m:
-                    raise UnknownFacetIndex(f"facet index {fi!r} out of range")
             if v in seen:
                 raise DuplicateVertex(f"vertex {sorted(v)} listed twice")
             seen.add(v)

@@ -33,9 +33,12 @@ class CharacteristicPair:
     def __post_init__(self):
         n = self.polytope.dim
         m = self.polytope.facet_count
-        if len(self.matrix) != n:
-            raise ShapeMismatch(f"matrix has {len(self.matrix)} rows, expected {n}")
-        for row in self.matrix:
+        rows, seq = self.matrix, (tuple, list)  # judged before a wording takes len
+        if not isinstance(rows, seq) or not all(isinstance(r, seq) for r in rows):
+            raise ShapeMismatch("matrix must be a tuple or list of rows, each one too")
+        if len(rows) != n:
+            raise ShapeMismatch(f"matrix has {len(rows)} rows, expected {n}")
+        for row in rows:
             if len(row) != m:
                 raise ShapeMismatch(f"row of length {len(row)}, expected {m} columns")
             for entry in row:

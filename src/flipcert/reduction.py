@@ -5,17 +5,18 @@ construction-direction sequence uses only types ``0..dim-1``.  The search is
 a greedy vertex-removal sweep interleaved with simulated annealing on the
 lexicographic cost (vertex count, then face counts from the top dimension
 down); failure after the step budget is a first-class result, never a
-fabricated certificate.  A restart's only state is one
-``moves.FaceTable``, updated with every move it applies, and its f-vector,
-updated in closed form; it lists every state from the table and builds a
-``Complex`` only when its best state improves.  The sweep owns vertex
-removal (type ``dim``); annealing runs only on states the sweep leaves
-without such a move, so it draws the lower types alone.  Only
-``_check_sphere_candidate`` counts faces, once per ``reduce`` or
-``certify``.  ``replay`` is ``moves.replay``, bound here too for ``cli
-apply``, ``flipcert.replay`` and the benchmark tracer.
+fabricated certificate.  The sweep owns vertex removal (type ``dim``) and
+runs from the input once; each restart starts where it ends, keeps one
+``moves.FaceTable`` and its f-vector, stepped in closed form, and builds a
+``Complex`` only when its best state improves.  Annealing runs only on
+states a sweep leaves without a type-``dim`` move, so it draws the lower
+types alone.  Faces are counted once, on the swept state, unless it is a
+simplex boundary: moves are PL homeomorphisms, so reaching one proves the
+input a PL sphere.  ``replay`` is ``moves.replay``, bound here too for
+``cli apply``, ``flipcert.replay`` and the benchmark tracer.
 """
 
+import functools
 import itertools
 import math
 import operator
@@ -59,8 +60,8 @@ class ReductionResult:
     steps_examined: int
 
 
-def _check_sphere_candidate(k: Complex) -> tuple:
-    """Reject what cannot be a sphere; return the f-vector, counted once."""
+def _check_sphere_candidate(k: Complex):
+    """Reject what fails a test linear in the facets: dimension, pseudomanifold."""
     if k.dim < 0:
         raise BadInput("a sphere needs dimension >= 0")
     if k.dim == 0:
@@ -68,18 +69,8 @@ def _check_sphere_candidate(k: Complex) -> tuple:
         # point pair, which is already a simplex boundary.
         if len(k.support) != 2:
             raise BadInput("a 0-dimensional sphere must be exactly two points")
-        return (2,)
-    if not is_pseudomanifold(k):
+    elif not is_pseudomanifold(k):
         raise BadInput("input is not a pseudomanifold")
-    expected = 1 + (-1) ** k.dim
-    f = f_vector(k)
-    chi = sum((-1) ** d * fd for d, fd in enumerate(f))
-    if chi != expected:
-        raise BadInput(
-            f"Euler characteristic {chi} does not match "
-            f"a {k.dim}-sphere ({expected})"
-        )
-    return f
 
 
 def _cost(f: tuple) -> tuple:
@@ -93,36 +84,34 @@ def f_vector_after(f: tuple, move) -> tuple:
     return tuple(map(operator.add, f, change))
 
 
-def _greedy_vertex_removals(table, f, trail):
+def _greedy_vertex_removals(table) -> list:
     """Apply vertex-removing moves (type = dim) to the complex ``table``
     holds until none applies, least vertex first, as
-    ``enumerate_moves(table, {dim})[0]`` would pick; return the f-vector.
+    ``enumerate_moves(table, {dim})[0]`` would pick; return them in order.
 
     One listing starts the sweep; each removal then updates the table,
     which judges again only the vertices whose star the removal changed,
     and the next removal is the least of ``table.moves(dim)``.
     """
+    removed = []
     listed = enumerate_moves(table, {table.dim})
     while listed:
-        move = listed[0]
-        table.update(move)
-        f = f_vector_after(f, move)
-        trail.append(move)
+        removed.append(listed[0])
+        table.update(listed[0])
         listed = table.moves(table.dim)
-    return f
+    return removed
 
 
-def _single_search(k, f, allowed, max_steps, rng):
-    """One restart; returns the steps examined (every move applied plus
-    every rejected proposal) and the least-cost state seen, as ``(cost,
-    trail, complex)``.  It stops at a simplex boundary, the least of all:
-    ``dim + 2`` vertices and as many facets, read off the f-vector.  One
-    face table follows the restart's state from move to move."""
-    trail = []
+def _single_search(k, sweep, f, allowed, max_steps, rng):
+    """One restart from ``k``, where ``sweep`` left the input, with f-vector
+    ``f``; returns the steps examined (every move applied, the sweep's too,
+    plus every rejected proposal) and the least-cost state seen, as
+    ``(cost, trail, complex)``.  It stops at a simplex boundary, the least
+    of all: ``dim + 2`` vertices and as many facets, read off ``f``."""
+    trail = list(sweep)
     rejected = 0
     table = FaceTable(k)
-    f = _greedy_vertex_removals(table, f, trail)
-    best = (_cost(f), len(trail), table.snapshot())  # the trail only grows
+    best = (_cost(f), len(trail), k)  # the trail only grows
     candidates = None  # kept until a move is accepted
     for step in range(max_steps):
         if f[0] == f[-1] == k.dim + 2:
@@ -142,8 +131,9 @@ def _single_search(k, f, allowed, max_steps, rng):
                 continue
         table.update(move)
         candidates = None
-        trail.append(move)
-        f = _greedy_vertex_removals(table, proposed, trail)
+        swept = _greedy_vertex_removals(table)
+        trail += [move, *swept]
+        f = functools.reduce(f_vector_after, swept, proposed)
         if _cost(f) < best[0]:
             best = (_cost(f), len(trail), table.snapshot())
     cost, length, final = best
@@ -153,27 +143,39 @@ def _single_search(k, f, allowed, max_steps, rng):
 def reduce_to_simplex(k: Complex, opts=ReductionOptions()) -> ReductionResult:
     """Search for a move sequence taking ``k`` to a simplex boundary.
 
-    Restarts run with derived seeds (``rng_seed + index``), so identical
-    inputs and options are bit-reproducible, and the least-cost state wins.
-    Moves keep each ridge in two facets, so only a simplex boundary has the
-    fewest vertices, ``dim + 2``, and the least cost: reaching one ends the
-    search, and the result succeeds exactly when its state is one.
+    Restarts run from the sweep's end with derived seeds (``rng_seed +
+    index``), so identical inputs and options are bit-reproducible, and the
+    least-cost state wins.  Moves keep each ridge in two facets, so only a
+    simplex boundary has the fewest vertices, ``dim + 2``, and the least
+    cost: reaching one ends the search, and the result succeeds exactly
+    when its state is one.
     """
     if opts.mode not in ("strict", "free"):
         raise BadInput(f"unknown mode {opts.mode!r}")
     counts = (opts.max_steps, opts.restarts, opts.rng_seed)
     if not all(map(is_int, counts)) or opts.max_steps < 0 or opts.restarts < 1:
         raise BadInput("invalid search options")
-    f = _check_sphere_candidate(k)
+    _check_sphere_candidate(k)
+    if is_boundary_of_simplex(k):  # at dimension 0 a sweep would never end
+        return ReductionResult((), k, True, 0)
+    table = FaceTable(k)
+    sweep = _greedy_vertex_removals(table)
+    swept = table.snapshot()
+    if is_boundary_of_simplex(swept):
+        return ReductionResult(tuple(sweep), swept, True, len(sweep))
+    f = f_vector(swept)  # the one count; moves keep the Euler characteristic
+    chi = sum((-1) ** d * fd for d, fd in enumerate(f))
+    expected = 1 + (-1) ** k.dim
+    if chi != expected:
+        raise BadInput(
+            f"Euler characteristic {chi} does not match a {k.dim}-sphere ({expected})")
     lowest = 1 if opts.mode == "strict" else 0
     allowed = set(range(lowest, k.dim))  # the sweep owns type dim
-    if is_boundary_of_simplex(k):
-        return ReductionResult((), k, True, 0)
     best = None
     examined = 0
     for restart in range(opts.restarts):
         rng = random.Random(opts.rng_seed + restart)
-        steps, found = _single_search(k, f, allowed, opts.max_steps, rng)
+        steps, found = _single_search(swept, sweep, f, allowed, opts.max_steps, rng)
         examined += steps
         if best is None or found[0] < best[0]:
             best = found

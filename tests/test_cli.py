@@ -552,6 +552,29 @@ def test_dimension_30_certificate_verifies_and_applies(tmp_path, monkeypatch):
     assert json.loads(proc.stdout) == complex_to_doc(result.final)
 
 
+def test_dimension_30_certify_and_reduce_end_with_the_sweep(tmp_path):
+    # the sweep from the input removes one vertex of the dual of simplex-29
+    # x segment and ends at a simplex boundary, so neither command counts
+    # its 3 * 2**30 faces; a count would not finish in time or fit in 1 GiB
+    dual, result = simplex_segment_reduction(30)
+    ppath = write_json(tmp_path / "p.json", polytope_to_doc(dual.polytope))
+    kpath = write_json(tmp_path / "k.json", complex_to_doc(dual.complex))
+    cpath = str(tmp_path / "c.json")
+    proc = run_module(["certify", ppath, "--output", cpath], timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(pathlib.Path(cpath).read_text()) == certificate_to_doc(
+        build_ledger(dual, result))
+    proc = run_module(["verify", cpath], timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["established"] is True
+    proc = run_module(["reduce", kpath], timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["succeeded"] is True and doc["steps_examined"] == 1
+    assert doc["moves"] == move_sequence_to_doc(dual.complex, result.moves)
+    assert doc["final"] == complex_to_doc(result.final)
+
+
 def test_unknown_flag_is_rejected(capsys, tmp_path):
     # and the shared parser still serves the next call, byte for byte
     ppath = write_json(tmp_path / "p.json", CUBE_3)

@@ -92,6 +92,7 @@ from flipcert.surgery import build_ledger, verify_certificate
 from conftest import (
     CORRUPTIONS,
     EMPTY,
+    brute_f_vector,
     checker_outcomes,
     count_f_vector_calls,
     simplex_segment_reduction,
@@ -252,13 +253,52 @@ def stacked_states(draw):
 @FAST
 @given(walk_states().map(lambda state: state[0]) | stacked_states())
 def test_greedy_sweep_matches_reference(k):
-    trail = [None]  # the sweep appends to the search's trail
     table = FaceTable(k)
-    f = _greedy_vertex_removals(table, fc.f_vector(k), trail)
+    sweep = _greedy_vertex_removals(table)
     reference, reference_trail = reference_sweep(k)
     assert_same_complex(table.snapshot(), reference)
+    # the search steps its f-vector over the moves the sweep returns
+    f = functools.reduce(f_vector_after, sweep, fc.f_vector(k))
     assert f == fc.f_vector(reference)
-    assert trail == [None] + reference_trail
+    assert sweep == reference_trail
+
+
+@FAST
+@given(walk_states().map(lambda state: state[0]) | stacked_states())
+def test_faces_are_counted_once_and_never_when_the_sweep_ends(k):
+    # a sweep that ends at a simplex boundary proves the input a sphere, so
+    # the reduction is the sweep and no face is counted; any other reduction
+    # counts the faces of the swept state once, whatever its restarts
+    reference, trail = reference_sweep(k)
+    ended = fc.is_boundary_of_simplex(reference)
+
+    def count(state):
+        assert not ended, "faces counted though the sweep ended the reduction"
+        return brute_f_vector(state)
+
+    with pytest.MonkeyPatch.context() as patch:
+        calls = count_f_vector_calls(patch, count)
+        result = fc.reduce_to_simplex(k, ReductionOptions(max_steps=20, restarts=3))
+    if ended:
+        assert result == ReductionResult(tuple(trail), reference, True, len(trail))
+    assert calls == ([] if ended else [reference])
+
+
+@pytest.mark.parametrize("k", [
+    *(fc.dual_complex(p).complex for name, p in fc.corpus().items()
+      if name.startswith("simplex")),
+    *(simplex_segment_reduction(d)[0].complex for d in range(2, 22)),
+], ids=repr)
+def test_a_reduction_the_sweep_ends_counts_no_faces(monkeypatch, k):
+    # the simplex duals and simplex-(d-1) x segment's, up to simplex-20 x
+    # segment's 3 * 2**21 faces; the count refuses
+    def refuse(state):
+        raise AssertionError("faces counted though the sweep ended the reduction")
+
+    count_f_vector_calls(monkeypatch, refuse)
+    result = fc.reduce_to_simplex(k, ReductionOptions())
+    assert result.succeeded and fc.replay(k, result.moves) == result.final
+    assert len(result.moves) == result.steps_examined == len(k.support) - k.dim - 2
 
 
 @FAST
@@ -303,8 +343,10 @@ def test_kept_face_table_matches_reference_after_every_move(state, steps):
     table = FaceTable(k)
     for kind, choice, listed in steps:
         if kind == "sweep":
-            _greedy_vertex_removals(table, fc.f_vector(k), [])
+            f = functools.reduce(f_vector_after, _greedy_vertex_removals(table),
+                                 fc.f_vector(k))
             k = table.snapshot()
+            assert f == fc.f_vector(k)
         else:
             candidates = reference_moves(k, types)
             if not candidates:

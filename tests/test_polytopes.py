@@ -85,6 +85,9 @@ REFUSALS = [
      "vertex [0, 1] listed twice"),
     ((2, ["a", "b", "c", "d"], [[0, 1], [0, 1, 2]]), NotSimple,
      "vertex [0, 1, 2] lies on 3 facets, expected 2"),
+    # no simple vertex either, but NotSimple would sort it to word itself
+    ((2, "abc", [[0, 1, "x"], [0, 2], [1, 2]]), UnknownFacetIndex,
+     "facet index 'x' out of range"),
 ]
 
 

@@ -92,6 +92,14 @@ def test_pair_checks_its_shape_when_built():
             CharacteristicPair(simplex, matrix)
 
 
+@pytest.mark.parametrize("matrix", [5, (5, 6), None, ((1, 0, 0), 7)])
+def test_pair_refuses_what_is_no_rows_before_taking_a_length(matrix):
+    with pytest.raises(ShapeMismatch) as caught:
+        CharacteristicPair(fc.simplex_polytope(2), matrix)
+    assert str(caught.value) == (
+        "matrix must be a tuple or list of rows, each one too")
+
+
 def test_quotient_descriptor():
     assert fc.quotient_descriptor(fc.cpn_pair(2)) == {
         "manifold_dim": 4,

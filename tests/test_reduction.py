@@ -35,11 +35,11 @@ def test_reduce_bipyramid_single_move(b5):
     ("cube-4", "free"),
 ])
 def test_sweep_and_annealing_each_list_a_state_once(monkeypatch, name, mode):
-    # each sweep (a restart starts with one) lists the top type once, on the
-    # state it starts from, then rechecks only links; annealing lists the
-    # lower types once per state a sweep leaves (a rejected uphill proposal
-    # keeps the list), and such a state has no top-type move: the sweep owns
-    # type dim
+    # each sweep (one from the input, then one after each accepted annealing
+    # move) lists the top type once, on the state it starts from, then
+    # rechecks only links; annealing lists the lower types once per state a
+    # sweep leaves (a rejected uphill proposal keeps the list), and such a
+    # state has no top-type move: the sweep owns type dim
     from flipcert import reduction
 
     original_enumerate = reduction.enumerate_moves
@@ -171,6 +171,29 @@ def test_restarts_share_one_face_count(monkeypatch, octahedron):
     )
     assert not result.succeeded
     assert calls == [octahedron]
+
+
+def test_the_sweep_runs_from_the_input_once(monkeypatch, octahedron):
+    # the octahedron with a facet stacked: the sweep removes the stacked
+    # vertex and ends at the octahedron, where no step is allowed, so all
+    # eight restarts exhaust, each from where that one sweep ended
+    from flipcert import reduction
+
+    k = fc.apply_move(octahedron, Move(octahedron.facets[0], (6,), 0))
+    original = reduction._greedy_vertex_removals
+    starts = []
+
+    def sweep_logged(table, *args):
+        starts.append(table.snapshot())
+        return original(table, *args)
+
+    monkeypatch.setattr(reduction, "_greedy_vertex_removals", sweep_logged)
+    result = fc.reduce_to_simplex(k, ReductionOptions(max_steps=0, restarts=8))
+    assert not result.succeeded
+    assert starts == [k]
+    assert result.moves == (Move((6,), octahedron.facets[0], 2),)
+    assert result.final == octahedron
+    assert result.steps_examined == 8  # the sweep's move, once per restart
 
 
 def test_replay(delta3, b5):
