@@ -163,14 +163,6 @@ def boundary_simplex(t) -> Complex:
     return Complex(len(t) - 2, itertools.combinations(t, len(t) - 1))
 
 
-def faces_of_dimension(k: Complex, d: int) -> list:
-    """All ``d``-faces of ``k``, sorted.  ``d`` must lie in ``0..k.dim``."""
-    out = set()
-    for f in k.facets:
-        out.update(itertools.combinations(f, d + 1))
-    return sorted(out)
-
-
 def f_vector(k: Complex) -> tuple:
     """Face counts by dimension, ``(f_0, ..., f_dim)``, via subset
     enumeration of the facets with deduplication."""

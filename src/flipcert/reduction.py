@@ -93,6 +93,8 @@ def _greedy_vertex_removals(table) -> list:
     which judges again only the vertices whose star the removal changed,
     and the next removal is the least of ``table.moves(dim)``.
     """
+    if table.dim < 1:  # at dimension 0, type dim is type 0: it always applies
+        return []
     removed = []
     listed = enumerate_moves(table, {table.dim})
     while listed:
@@ -156,8 +158,6 @@ def reduce_to_simplex(k: Complex, opts=ReductionOptions()) -> ReductionResult:
     if not all(map(is_int, counts)) or opts.max_steps < 0 or opts.restarts < 1:
         raise BadInput("invalid search options")
     _check_sphere_candidate(k)
-    if is_boundary_of_simplex(k):  # at dimension 0 a sweep would never end
-        return ReductionResult((), k, True, 0)
     table = FaceTable(k)
     sweep = _greedy_vertex_removals(table)
     swept = table.snapshot()

@@ -3,11 +3,20 @@
 Emitted documents are deterministic: facet lists sorted lexicographically
 with ascending ids inside each facet, keys sorted, compact separators.  The
 digest of a document is the SHA-256 of its canonical JSON, prefixed with the
-algorithm name so certificates record how they were hashed.
+algorithm name so certificates record how they were hashed.  The hash is
+the interpreter's builtin SHA-256, as ``random`` takes its SHA-512: the same
+digest without ``hashlib``, which loads OpenSSL, unless the build has none.
 """
 
-import hashlib
 import json
+
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .complexes import Complex, is_int
 from .errors import InputError
@@ -25,8 +34,7 @@ def canonical_json(doc) -> str:
 
 
 def digest(doc) -> str:
-    raw = canonical_json(doc).encode("utf-8")
-    return "sha256:" + hashlib.sha256(raw).hexdigest()
+    return "sha256:" + sha256(canonical_json(doc).encode()).hexdigest()
 
 
 def _fits(value, kind) -> bool:

@@ -6,7 +6,11 @@ never trust the code paths they are checking.
 """
 
 import itertools
+import pathlib
 import random
+import resource
+import subprocess
+import sys
 
 import pytest
 
@@ -61,8 +65,6 @@ def count_f_vector_calls(monkeypatch, count=None):
     """Route every module's ``f_vector`` through a counter; returns the list
     of complexes it was called on.  ``count`` stands in for the real count,
     say to refuse one that would not finish."""
-    import sys
-
     from flipcert import complexes
 
     original = complexes.f_vector
@@ -141,6 +143,26 @@ def simplex_segment_reduction(d):
     move = fc.Move((d,), tuple(range(d)), d - 1)
     final = fc.boundary_simplex(tuple(range(d)) + (d + 1,))
     return dual, ReductionResult((move,), final, True, 0)
+
+
+def cap_memory():
+    """Hold a child to 1 GiB of address space, so that a count of faces
+    that would fill memory fails in the child instead."""
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+def run_python(args, hash_seed="0", timeout=None):
+    """A fresh interpreter run with ``args``, importing the same flipcert
+    package this test imported; given a ``timeout``, the child is also held
+    to 1 GiB by ``cap_memory``."""
+    package_root = str(pathlib.Path(fc.__file__).resolve().parent.parent)
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True, text=True, timeout=timeout,
+        preexec_fn=cap_memory if timeout else None,
+        env={"PYTHONHASHSEED": hash_seed, "PATH": "/usr/bin:/bin",
+             "PYTHONPATH": package_root},
+    )
 
 
 @pytest.fixture

@@ -2,9 +2,6 @@ import hashlib
 import io
 import json
 import pathlib
-import resource
-import subprocess
-import sys
 
 import pytest
 
@@ -23,6 +20,7 @@ from conftest import (
     B5_FACETS,
     certificate_mutation_sites,
     count_f_vector_calls,
+    run_python,
     simplex_segment_reduction,
 )
 
@@ -506,24 +504,9 @@ def test_cli_outcomes(capsys, tmp_path, monkeypatch, argv, files, exit_code,
         check(out, paths)
 
 
-def cap_memory():
-    """Hold a child to 1 GiB of address space, so that a count of faces
-    that would fill memory fails in the child instead."""
-    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
-
-
 def run_module(argv, hash_seed="0", timeout=None):
-    """``python -m flipcert`` in a fresh interpreter, importing the same
-    flipcert package this test imported; given a ``timeout``, the child is
-    also held to 1 GiB by ``cap_memory``."""
-    package_root = str(pathlib.Path(fc.__file__).resolve().parent.parent)
-    return subprocess.run(
-        [sys.executable, "-m", "flipcert", *argv],
-        capture_output=True, text=True, timeout=timeout,
-        preexec_fn=cap_memory if timeout else None,
-        env={"PYTHONHASHSEED": hash_seed, "PATH": "/usr/bin:/bin",
-             "PYTHONPATH": package_root},
-    )
+    """``python -m flipcert`` in a fresh interpreter, by ``run_python``."""
+    return run_python(["-m", "flipcert", *argv], hash_seed, timeout)
 
 
 def test_dimension_30_certificate_verifies_and_applies(tmp_path, monkeypatch):

@@ -13,10 +13,10 @@ from flipcert.complexes import (
     NotAFace,
     VertexClash,
     WrongFacetSize,
-    faces_of_dimension,
 )
 
 from conftest import brute_f_vector, brute_faces
+from reference import faces_of_dimension
 
 
 def test_new_complex_simplex_boundary():

@@ -61,7 +61,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import flipcert as fc
-from flipcert.complexes import BadVertexId, NotAFace, as_simplex, faces_of_dimension
+from flipcert.complexes import BadVertexId, NotAFace, as_simplex
 from flipcert.errors import FlipcertError
 from flipcert.moves import (
     FaceTable,
@@ -98,6 +98,7 @@ from conftest import (
     simplex_segment_reduction,
     star_replay,
 )
+from reference import faces_of_dimension
 
 
 def reference_moves(k, allowed_types):

@@ -8,7 +8,7 @@ from flipcert.reduction import (
     canonical_form,
 )
 
-from conftest import count_f_vector_calls
+from conftest import count_f_vector_calls, run_python
 
 # Shortest strict reduction length of the octahedral sphere, computed by the
 # breadth-first oracle (see test_oracle_octahedron) and frozen here.
@@ -194,6 +194,24 @@ def test_the_sweep_runs_from_the_input_once(monkeypatch, octahedron):
     assert result.moves == (Move((6,), octahedron.facets[0], 2),)
     assert result.final == octahedron
     assert result.steps_examined == 8  # the sweep's move, once per restart
+
+
+def test_the_sweep_ends_at_dimension_0():
+    # type dim is type 0 on a point pair, which always applies, so a sweep
+    # there would replace a point by a fresh one forever: run it in a child
+    # held to a time limit, so that a sweep that never ends fails the test
+    proc = run_python(["-c", (
+        "import flipcert as fc\n"
+        "from flipcert.moves import FaceTable\n"
+        "from flipcert.reduction import _greedy_vertex_removals\n"
+        "print(_greedy_vertex_removals(FaceTable(fc.Complex(0, [[0], [1]]))))"
+    )], timeout=10)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+    # so the search may sweep a point pair, which is a simplex boundary
+    k = fc.Complex(0, [[0], [1]])
+    result = fc.reduce_to_simplex(k, ReductionOptions())
+    assert (result.moves, result.final, result.succeeded) == ((), k, True)
+    assert result.steps_examined == 0
 
 
 def test_replay(delta3, b5):

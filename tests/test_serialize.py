@@ -13,6 +13,7 @@ from flipcert.serialize import (
     complex_digest,
     complex_from_doc,
     complex_to_doc,
+    digest,
     lambda_from_doc,
     lambda_to_doc,
     move_from_doc,
@@ -25,11 +26,12 @@ from flipcert.serialize import (
 from flipcert.quasitoric import ShapeMismatch
 from flipcert.surgery import (
     MalformedCertificate,
+    build_ledger,
     certificate_from_doc,
     certificate_to_doc,
 )
 
-from conftest import B5_FACETS
+from conftest import B5_FACETS, run_python
 
 
 B5_CANONICAL = '{"dim":2,"facets":[[0,1,4],[0,1,5],[0,2,4],[0,2,5],[1,2,4],[1,2,5]]}'
@@ -51,6 +53,76 @@ def test_complex_digest_golden(b5):
         sort_keys=True, separators=(",", ":"),
     ).encode()
     assert complex_digest(b5) == "sha256:" + hashlib.sha256(raw).hexdigest()
+
+
+#: Runs certify, verify, reduce and apply through ``cli.main`` on the files
+#: it is given, then tells whether OpenSSL's hash module got loaded; it
+#: says why instead when the check cannot tell.
+NO_OPENSSL = """
+import importlib.util, json, sys
+if not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")):
+    print(json.dumps({"skip": "no builtin SHA-256 module"}))
+elif "_hashlib" in sys.modules:
+    print(json.dumps({"skip": "_hashlib is loaded before flipcert"}))
+else:
+    from flipcert.cli import main
+    polytope, dual, out = sys.argv[1:]
+    codes = [
+        main(["certify", polytope, "--output", out + "/cert.json"]),
+        main(["verify", out + "/cert.json", "--output", out + "/report.json"]),
+        main(["reduce", dual, "--output", out + "/result.json"]),
+        main(["apply", dual, "--moves", out + "/result.json",
+              "--output", out + "/final.json"]),
+    ]
+    print(json.dumps({"codes": codes, "loaded": "_hashlib" in sys.modules}))
+"""
+
+
+def test_commands_take_digests_without_openssl(tmp_path):
+    dual = fc.dual_complex(fc.named_polytope("cube-4"))
+    ppath = tmp_path / "p.json"
+    ppath.write_text(json.dumps(polytope_to_doc(dual.polytope)))
+    kpath = tmp_path / "k.json"
+    kpath.write_text(json.dumps(complex_to_doc(dual.complex)))
+    proc = run_python(["-c", NO_OPENSSL, str(ppath), str(kpath), str(tmp_path)],
+                      timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    if "skip" in out:
+        pytest.skip(out["skip"])
+    assert out == {"codes": [0, 0, 0, 0], "loaded": False}
+
+
+#: Takes the digests with the builtin SHA-256 modules hidden, so that
+#: ``serialize`` falls back to ``hashlib``.
+FALLBACK = """
+import json, sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+import hashlib
+import flipcert as fc
+from flipcert.serialize import complex_digest, digest, sha256
+from flipcert.surgery import build_ledger, certificate_to_doc
+dual = fc.dual_complex(fc.named_polytope("cube-4"))
+result = fc.reduce_to_simplex(dual.complex, fc.ReductionOptions())
+cert = certificate_to_doc(build_ledger(dual, result))
+print(json.dumps({
+    "hashlib": sha256 is hashlib.sha256,
+    "b5": complex_digest(fc.Complex(2, json.loads(sys.argv[1]))),
+    "cert": cert,
+    "digest": digest(cert),
+}))
+"""
+
+
+def test_hashlib_fallback_takes_the_same_digests():
+    proc = run_python(["-c", FALLBACK, json.dumps(B5_FACETS)], timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    dual = fc.dual_complex(fc.named_polytope("cube-4"))
+    result = fc.reduce_to_simplex(dual.complex, fc.ReductionOptions())
+    cert = certificate_to_doc(build_ledger(dual, result))
+    assert out == {"hashlib": True, "b5": B5_DIGEST, "cert": cert,
+                   "digest": digest(cert)}
 
 
 def test_complex_round_trip(b5, octahedron, icosahedron):
