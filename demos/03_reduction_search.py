@@ -1,18 +1,14 @@
-"""Reduces corpus spheres to simplex boundaries and checks the BFS oracle.
+"""Reduces corpus spheres to simplex boundaries and replays the moves.
 
 Strict mode forbids vertex additions, so every emitted move has type >= 1
-and the vertex count never grows along the replay.  The breadth-first
-oracle computes exact flip distances on small complexes (identifying states
-up to relabeling), which bounds what the annealing search may report.
+and the vertex count never grows along the replay.  The same seed gives the
+same move sequence.  The breadth-first flip-distance oracle that bounds the
+search's lengths is a test support module, ``tests/reference.py``.
 """
 
 import time
 
 import flipcert as fc
-
-octahedron = fc.dual_complex(fc.named_polytope("cube-3")).complex
-print("octahedron flip distance to a simplex boundary:",
-      fc.flip_distance_oracle(octahedron, {1, 2}, 6))
 
 for name in ("prism", "cube-3", "cube-4", "dodecahedron"):
     dual = fc.dual_complex(fc.named_polytope(name)).complex
@@ -20,7 +16,7 @@ for name in ("prism", "cube-3", "cube-4", "dodecahedron"):
     result = fc.reduce_to_simplex(dual, fc.ReductionOptions(rng_seed=0))
     elapsed = time.perf_counter() - start
     types = [m.move_type for m in result.moves]
-    print(f"\n{name}: reduced {len(dual.support)} -> "
+    print(f"{name}: reduced {len(dual.support)} -> "
           f"{len(result.final.support)} vertices in {len(result.moves)} moves "
           f"({elapsed * 1000:.0f} ms, {result.steps_examined} steps examined)")
     print(f"  move types: {types}")

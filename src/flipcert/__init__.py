@@ -32,7 +32,6 @@ from .quasitoric import (
 from .reduction import (
     ReductionOptions,
     ReductionResult,
-    flip_distance_oracle,
     reduce_to_simplex,
     replay,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "enumerate_moves",
     "euler_characteristic",
     "f_vector",
-    "flip_distance_oracle",
     "has_face",
     "inverse_move",
     "is_applicable",

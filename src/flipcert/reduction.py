@@ -10,24 +10,27 @@ runs from the input once; each restart starts where it ends, keeps one
 ``moves.FaceTable`` and its f-vector, stepped in closed form, and builds a
 ``Complex`` only when its best state improves.  Annealing runs only on
 states a sweep leaves without a type-``dim`` move, so it draws the lower
-types alone.  Faces are counted once, on the swept state, unless it is a
-simplex boundary: moves are PL homeomorphisms, so reaching one proves the
-input a PL sphere.  ``replay`` is ``moves.replay``, bound here too for
-``cli apply``, ``flipcert.replay`` and the benchmark tracer.
+types alone.  A sweep that ends at a simplex boundary is the reduction:
+moves are PL homeomorphisms, so reaching one proves the input a PL sphere.
+Only a sweep that falls short meets the sphere gates, in this order:
+dimension >= 0, a 0-sphere is two points, the input is a pseudomanifold,
+then the Euler characteristic of the one face count, taken on the swept
+state.  ``replay`` is ``moves.replay``, bound here too for ``cli apply``,
+``flipcert.replay`` and the benchmark tracer.  The breadth-first
+flip-distance oracle the tests hold the search to is in
+``tests/reference.py``.
 """
 
 import functools
-import itertools
 import math
 import operator
 import random
 from dataclasses import dataclass
-from typing import Optional
 
 from .complexes import (
     Complex, f_vector, is_boundary_of_simplex, is_int, is_pseudomanifold)
 from .errors import FlipcertError, InputError
-from .moves import FaceTable, apply_move, enumerate_moves, f_vector_change, replay
+from .moves import FaceTable, enumerate_moves, f_vector_change, replay
 
 
 class BadInput(InputError):
@@ -58,19 +61,6 @@ class ReductionResult:
     final: Complex
     succeeded: bool
     steps_examined: int
-
-
-def _check_sphere_candidate(k: Complex):
-    """Reject what fails a test linear in the facets: dimension, pseudomanifold."""
-    if k.dim < 0:
-        raise BadInput("a sphere needs dimension >= 0")
-    if k.dim == 0:
-        # Dimension 0 admits no pseudomanifold test; the only sphere is a
-        # point pair, which is already a simplex boundary.
-        if len(k.support) != 2:
-            raise BadInput("a 0-dimensional sphere must be exactly two points")
-    elif not is_pseudomanifold(k):
-        raise BadInput("input is not a pseudomanifold")
 
 
 def _cost(f: tuple) -> tuple:
@@ -157,12 +147,17 @@ def reduce_to_simplex(k: Complex, opts=ReductionOptions()) -> ReductionResult:
     counts = (opts.max_steps, opts.restarts, opts.rng_seed)
     if not all(map(is_int, counts)) or opts.max_steps < 0 or opts.restarts < 1:
         raise BadInput("invalid search options")
-    _check_sphere_candidate(k)
     table = FaceTable(k)
     sweep = _greedy_vertex_removals(table)
     swept = table.snapshot()
     if is_boundary_of_simplex(swept):
         return ReductionResult(tuple(sweep), swept, True, len(sweep))
+    if k.dim < 0:
+        raise BadInput("a sphere needs dimension >= 0")
+    if k.dim == 0:  # nothing sweeps it, and two points were returned above
+        raise BadInput("a 0-dimensional sphere must be exactly two points")
+    if not is_pseudomanifold(k):
+        raise BadInput("input is not a pseudomanifold")
     f = f_vector(swept)  # the one count; moves keep the Euler characteristic
     chi = sum((-1) ** d * fd for d, fd in enumerate(f))
     expected = 1 + (-1) ** k.dim
@@ -183,51 +178,3 @@ def reduce_to_simplex(k: Complex, opts=ReductionOptions()) -> ReductionResult:
             break
     _, moves, final = best
     return ReductionResult(moves, final, is_boundary_of_simplex(final), examined)
-
-
-def canonical_form(k: Complex) -> tuple:
-    """Relabeling-invariant key: the lexicographically smallest facet list
-    over all bijections of the support onto ``0..v-1``.
-
-    Factorial in the vertex count; meant for the small complexes the BFS
-    oracle visits (<= 8 vertices or so).
-    """
-    support = sorted(k.support)
-    positions = {v: i for i, v in enumerate(support)}
-    best = None
-    for perm in itertools.permutations(range(len(support))):
-        relabeled = tuple(sorted(
-            tuple(sorted(perm[positions[v]] for v in f)) for f in k.facets
-        ))
-        if best is None or relabeled < best:
-            best = relabeled
-    return best
-
-
-def flip_distance_oracle(k: Complex, allowed_types, radius: int) -> Optional[int]:
-    """Length of the shortest move sequence to a simplex boundary, by
-    breadth-first search over the flip graph with states identified up to
-    vertex relabeling.  ``None`` when no target lies within ``radius``.
-
-    Independent of the annealing search: used as the test oracle for it.
-    """
-    if is_boundary_of_simplex(k):
-        return 0
-    frontier = [k]
-    seen = {canonical_form(k)}
-    for depth in range(1, radius + 1):
-        next_frontier = []
-        for state in frontier:
-            for move in enumerate_moves(state, allowed_types):
-                neighbor = apply_move(state, move)
-                key = canonical_form(neighbor)
-                if key in seen:
-                    continue
-                if is_boundary_of_simplex(neighbor):
-                    return depth
-                seen.add(key)
-                next_frontier.append(neighbor)
-        frontier = next_frontier
-        if not frontier:
-            return None
-    return None

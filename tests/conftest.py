@@ -61,13 +61,14 @@ def leibniz_det(matrix):
     return total
 
 
-def count_f_vector_calls(monkeypatch, count=None):
-    """Route every module's ``f_vector`` through a counter; returns the list
-    of complexes it was called on.  ``count`` stands in for the real count,
-    say to refuse one that would not finish."""
+def count_calls(monkeypatch, function, count=None):
+    """Route every module's ``function`` (``f_vector``, say) through a
+    counter; returns the list of complexes it was called on.  ``count``
+    stands in for the real function, say to refuse a count that would not
+    finish."""
     from flipcert import complexes
 
-    original = complexes.f_vector
+    original = getattr(complexes, function)
     count = count or original
     calls = []
 
@@ -76,8 +77,8 @@ def count_f_vector_calls(monkeypatch, count=None):
         return count(k)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("flipcert") and getattr(module, "f_vector", None) is original:
-            monkeypatch.setattr(module, "f_vector", counted)
+        if name.startswith("flipcert") and getattr(module, function, None) is original:
+            monkeypatch.setattr(module, function, counted)
     return calls
 
 

@@ -1,7 +1,11 @@
 """Plain reference paths that the package no longer needs itself, kept for
-the tests that hold its fast paths to them."""
+the tests that hold its fast paths to them, and the breadth-first
+flip-distance oracle, with its canonical form, that bounds the search."""
 
 import itertools
+from typing import Optional
+
+from flipcert import apply_move, enumerate_moves, is_boundary_of_simplex
 
 
 def faces_of_dimension(k, d: int) -> list:
@@ -10,3 +14,51 @@ def faces_of_dimension(k, d: int) -> list:
     for f in k.facets:
         out.update(itertools.combinations(f, d + 1))
     return sorted(out)
+
+
+def canonical_form(k) -> tuple:
+    """Relabeling-invariant key: the lexicographically smallest facet list
+    over all bijections of the support onto ``0..v-1``.
+
+    Factorial in the vertex count; meant for the small complexes the BFS
+    oracle visits (<= 8 vertices or so).
+    """
+    support = sorted(k.support)
+    positions = {v: i for i, v in enumerate(support)}
+    best = None
+    for perm in itertools.permutations(range(len(support))):
+        relabeled = tuple(sorted(
+            tuple(sorted(perm[positions[v]] for v in f)) for f in k.facets
+        ))
+        if best is None or relabeled < best:
+            best = relabeled
+    return best
+
+
+def flip_distance_oracle(k, allowed_types, radius: int) -> Optional[int]:
+    """Length of the shortest move sequence to a simplex boundary, by
+    breadth-first search over the flip graph with states identified up to
+    vertex relabeling.  ``None`` when no target lies within ``radius``.
+
+    Independent of the annealing search: used as the test oracle for it.
+    """
+    if is_boundary_of_simplex(k):
+        return 0
+    frontier = [k]
+    seen = {canonical_form(k)}
+    for depth in range(1, radius + 1):
+        next_frontier = []
+        for state in frontier:
+            for move in enumerate_moves(state, allowed_types):
+                neighbor = apply_move(state, move)
+                key = canonical_form(neighbor)
+                if key in seen:
+                    continue
+                if is_boundary_of_simplex(neighbor):
+                    return depth
+                seen.add(key)
+                next_frontier.append(neighbor)
+        frontier = next_frontier
+        if not frontier:
+            return None
+    return None

@@ -20,6 +20,7 @@ from flipcert.surgery import (
 from flipcert.errors import InputError
 
 from conftest import B5_FACETS, certificate_mutation_sites, walk_pairs
+from reference import flip_distance_oracle
 
 # Shortest strict reduction length of the octahedral sphere, established by
 # the breadth-first oracle before the annealing search existed; the oracle
@@ -95,8 +96,8 @@ def test_ewald_range_strictness(corpus_certs):
 def test_oracle_consistency():
     b5 = fc.Complex(2, B5_FACETS)
     octa = fc.dual_complex(fc.named_polytope("cube-3")).complex
-    assert fc.flip_distance_oracle(b5, {1, 2}, 3) == 1
-    assert fc.flip_distance_oracle(octa, {1, 2}, 6) == L_OCT
+    assert flip_distance_oracle(b5, {1, 2}, 3) == 1
+    assert flip_distance_oracle(octa, {1, 2}, 6) == L_OCT
     for k in (b5, octa):
         start = time.perf_counter()
         result = fc.reduce_to_simplex(k, ReductionOptions())

@@ -19,7 +19,7 @@ from flipcert.surgery import build_ledger, certificate_to_doc
 from conftest import (
     B5_FACETS,
     certificate_mutation_sites,
-    count_f_vector_calls,
+    count_calls,
     run_python,
     simplex_segment_reduction,
 )
@@ -379,6 +379,25 @@ CLI_CASES = [
     cli_case("reduce-torus", ["reduce", "@k"],
              {"@k": {"dim": 2, "facets": TORUS_7}}, code="BadInput",
              message="Euler characteristic 0 does not match a 2-sphere (2)"),
+    # the sphere refusals, met only where the sweep falls short of a
+    # simplex boundary: the disk's inner vertex is swept away first
+    cli_case("reduce-disk", ["reduce", "@k"],
+             {"@k": {"dim": 2, "facets": [[0, 1, 2], [0, 1, 3], [0, 2, 3]]}},
+             code="BadInput", message="input is not a pseudomanifold",
+             check=_no_output),
+    cli_case("reduce-two-spheres-at-a-vertex", ["reduce", "@k"],
+             {"@k": {"dim": 2, "facets": [
+                 [0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3],
+                 [0, 4, 5], [0, 4, 6], [0, 5, 6], [4, 5, 6]]}},
+             code="BadInput", message="input is not a pseudomanifold",
+             check=_no_output),
+    cli_case("reduce-three-points", ["reduce", "@k"],
+             {"@k": {"dim": 0, "facets": [[0], [1], [2]]}}, code="BadInput",
+             message="a 0-dimensional sphere must be exactly two points",
+             check=_no_output),
+    cli_case("reduce-empty-simplex", ["reduce", "@k"],
+             {"@k": {"dim": -1, "facets": [[]]}}, code="BadInput",
+             message="a sphere needs dimension >= 0", check=_no_output),
     cli_case("reduce-no-facets", ["reduce", "@k"],
              {"@k": {"dim": 1, "facets": []}}, code="EmptyComplex",
              message="a complex needs at least one facet"),
@@ -516,7 +535,7 @@ def test_dimension_30_certificate_verifies_and_applies(tmp_path, monkeypatch):
     def refuse(k):
         raise AssertionError("faces counted at dimension 30")
 
-    count_f_vector_calls(monkeypatch, refuse)
+    count_calls(monkeypatch, "f_vector", refuse)
     dual, result = simplex_segment_reduction(30)
     cert = certificate_to_doc(build_ledger(dual, result))
     cpath = write_json(tmp_path / "c.json", cert)

@@ -94,7 +94,7 @@ from conftest import (
     EMPTY,
     brute_f_vector,
     checker_outcomes,
-    count_f_vector_calls,
+    count_calls,
     simplex_segment_reduction,
     star_replay,
 )
@@ -268,8 +268,9 @@ def test_greedy_sweep_matches_reference(k):
 @given(walk_states().map(lambda state: state[0]) | stacked_states())
 def test_faces_are_counted_once_and_never_when_the_sweep_ends(k):
     # a sweep that ends at a simplex boundary proves the input a sphere, so
-    # the reduction is the sweep and no face is counted; any other reduction
-    # counts the faces of the swept state once, whatever its restarts
+    # the reduction is the sweep, no face is counted and no pseudomanifold
+    # test runs; any other reduction tests the input once and counts the
+    # faces of the swept state once, whatever its restarts
     reference, trail = reference_sweep(k)
     ended = fc.is_boundary_of_simplex(reference)
 
@@ -278,11 +279,13 @@ def test_faces_are_counted_once_and_never_when_the_sweep_ends(k):
         return brute_f_vector(state)
 
     with pytest.MonkeyPatch.context() as patch:
-        calls = count_f_vector_calls(patch, count)
+        calls = count_calls(patch, "f_vector", count)
+        tested = count_calls(patch, "is_pseudomanifold")
         result = fc.reduce_to_simplex(k, ReductionOptions(max_steps=20, restarts=3))
     if ended:
         assert result == ReductionResult(tuple(trail), reference, True, len(trail))
     assert calls == ([] if ended else [reference])
+    assert [state is k for state in tested] == ([] if ended else [True])
 
 
 @pytest.mark.parametrize("k", [
@@ -296,8 +299,10 @@ def test_a_reduction_the_sweep_ends_counts_no_faces(monkeypatch, k):
     def refuse(state):
         raise AssertionError("faces counted though the sweep ended the reduction")
 
-    count_f_vector_calls(monkeypatch, refuse)
+    count_calls(monkeypatch, "f_vector", refuse)
+    tested = count_calls(monkeypatch, "is_pseudomanifold")
     result = fc.reduce_to_simplex(k, ReductionOptions())
+    assert tested == []
     assert result.succeeded and fc.replay(k, result.moves) == result.final
     assert len(result.moves) == result.steps_examined == len(k.support) - k.dim - 2
 
@@ -823,7 +828,7 @@ def test_the_replay_enumerates_no_subsets(monkeypatch):
     dual, result = reduced("cube-4", "strict")
     assert len(result.moves) > 1
     monkeypatch.setattr(moves, "itertools", NoSubsets())
-    count_f_vector_calls(monkeypatch, refuse)
+    count_calls(monkeypatch, "f_vector", refuse)
     assert moves.replay(dual.complex, result.moves) == result.final
 
 

@@ -15,10 +15,10 @@ from flipcert.polytopes import (
     UnknownName,
     make_polytope,
 )
-from flipcert.reduction import canonical_form
 from flipcert.serialize import polytope_from_doc
 
 from conftest import B5_FACETS
+from reference import canonical_form
 
 
 def test_parse_simplex_document():

@@ -2,13 +2,10 @@ import pytest
 
 import flipcert as fc
 from flipcert.moves import Move, NotApplicable, ReplayFailure
-from flipcert.reduction import (
-    BadInput,
-    ReductionOptions,
-    canonical_form,
-)
+from flipcert.reduction import BadInput, ReductionOptions
 
-from conftest import count_f_vector_calls, run_python
+from conftest import count_calls, run_python
+from reference import canonical_form, flip_distance_oracle
 
 # Shortest strict reduction length of the octahedral sphere, computed by the
 # breadth-first oracle (see test_oracle_octahedron) and frozen here.
@@ -165,7 +162,7 @@ def test_reduce_exhaustion_is_honest(octahedron):
 
 
 def test_restarts_share_one_face_count(monkeypatch, octahedron):
-    calls = count_f_vector_calls(monkeypatch)
+    calls = count_calls(monkeypatch, "f_vector")
     result = fc.reduce_to_simplex(
         octahedron, ReductionOptions(max_steps=0, restarts=3)
     )
@@ -256,14 +253,14 @@ def test_canonical_form_identifies_relabelings(b5):
 
 
 def test_oracle_trivial_and_bipyramid(delta3, b5):
-    assert fc.flip_distance_oracle(delta3, {1, 2}, 3) == 0
-    assert fc.flip_distance_oracle(b5, {1, 2}, 3) == 1
+    assert flip_distance_oracle(delta3, {1, 2}, 3) == 0
+    assert flip_distance_oracle(b5, {1, 2}, 3) == 1
 
 
 def test_oracle_octahedron(octahedron):
-    assert fc.flip_distance_oracle(octahedron, {1, 2}, 6) == L_OCT
+    assert flip_distance_oracle(octahedron, {1, 2}, 6) == L_OCT
     # absence within a too-small radius is a value, not an error
-    assert fc.flip_distance_oracle(octahedron, {1, 2}, 1) is None
+    assert flip_distance_oracle(octahedron, {1, 2}, 1) is None
 
 
 def test_reduction_beyond_the_corpus():
@@ -302,7 +299,7 @@ def test_annealing_meets_oracle_bound(b5, octahedron):
         if k.dim < 1:
             continue
         allowed = set(range(1, k.dim + 1))
-        distance = fc.flip_distance_oracle(k, allowed, 6)
+        distance = flip_distance_oracle(k, allowed, 6)
         result = fc.reduce_to_simplex(k, ReductionOptions())
         assert result.succeeded
         assert distance is not None

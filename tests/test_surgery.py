@@ -26,7 +26,7 @@ from flipcert.surgery import (
 from conftest import (
     certificate_mutation_sites,
     checker_outcomes,
-    count_f_vector_calls,
+    count_calls,
 )
 
 
@@ -234,7 +234,7 @@ def test_empty_chain_never_counts_faces(monkeypatch):
     dual = fc.dual_complex(fc.simplex_polytope(22))
     result = ReductionResult((), dual.complex, True, 0)
     monkeypatch.setattr("flipcert.moves._vertex_stars", refuse)
-    calls = count_f_vector_calls(monkeypatch, refuse)
+    calls = count_calls(monkeypatch, "f_vector", refuse)
     cert = build_ledger(dual, result)
     assert cert.steps == ()
     assert verify_certificate(cert).established
@@ -248,7 +248,7 @@ def test_empty_chain_builds_no_vertex_stars(monkeypatch):
         raise AssertionError("replay state built for an empty chain")
 
     monkeypatch.setattr("flipcert.moves._vertex_stars", refuse)
-    count_f_vector_calls(monkeypatch, refuse)
+    count_calls(monkeypatch, "f_vector", refuse)
     start = time.perf_counter()
     dual = fc.dual_complex(fc.simplex_polytope(24))
     assert fc.replay(dual.complex, []) is dual.complex
@@ -310,7 +310,7 @@ def test_the_checker_counts_no_faces(monkeypatch, corpus_certs, b5):
 
     expected = checker_outcomes(corpus_certs, b5)
     assert any(len(cert.steps) > 1 for _, _, cert in corpus_certs.values())
-    calls = count_f_vector_calls(monkeypatch, refuse)
+    calls = count_calls(monkeypatch, "f_vector", refuse)
     assert checker_outcomes(corpus_certs, b5) == expected
     assert calls == []
 
