@@ -50,7 +50,8 @@ class UnknownName(InputError):
 class SimplePolytope:
     """Simple polytope: a tuple of distinct facet names and a nonempty tuple
     of distinct vertices, each stored, however built, as the frozenset of
-    ``dim`` facet indices it was checked as; together they use every index."""
+    ``dim`` facet indices it was checked as; together they use every index.
+    An exact ``int`` index passes its type test inline; any other goes to ``is_int``."""
 
     dim: int
     facet_names: tuple
@@ -66,7 +67,7 @@ class SimplePolytope:
         used, seen = set(), set()
         for v in vertices:
             for fi in v:  # judged before any wording sorts them
-                if not is_int(fi) or not 0 <= fi < m:
+                if not (type(fi) is int or is_int(fi)) or not 0 <= fi < m:
                     raise UnknownFacetIndex(f"facet index {fi!r} out of range")
             if len(v) != n:
                 raise NotSimple(

@@ -25,7 +25,8 @@ class NotFree(FlipcertError):
 @dataclass(frozen=True)
 class CharacteristicPair:
     """A polytope with an integer matrix assigning a column to each facet;
-    a matrix of any other shape raises ``ShapeMismatch``."""
+    a matrix of any other shape raises ``ShapeMismatch``.  An exact ``int``
+    entry passes its type test inline; any other goes to ``is_int``."""
 
     polytope: SimplePolytope
     matrix: tuple  # n rows of m integers each, row-major
@@ -42,7 +43,7 @@ class CharacteristicPair:
             if len(row) != m:
                 raise ShapeMismatch(f"row of length {len(row)}, expected {m} columns")
             for entry in row:
-                if not is_int(entry):
+                if not (type(entry) is int or is_int(entry)):
                     raise ShapeMismatch(f"non-integer entry {entry!r}")
 
 

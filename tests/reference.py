@@ -1,11 +1,88 @@
 """Plain reference paths that the package no longer needs itself, kept for
 the tests that hold its fast paths to them, and the breadth-first
-flip-distance oracle, with its canonical form, that bounds the search."""
+flip-distance oracle, with its canonical form, that bounds the search.
+
+The input gates are kept here with every type test a call to ``is_int``:
+``check_polytope`` (``SimplePolytope``), ``check_pair``
+(``CharacteristicPair``) and ``fits`` (the schema reader's kind test), each
+judging one element at a time."""
 
 import itertools
 from typing import Optional
 
 from flipcert import apply_move, enumerate_moves, is_boundary_of_simplex
+from flipcert.complexes import is_int
+from flipcert.polytopes import (
+    BadDimension,
+    DuplicateFacetName,
+    DuplicateVertex,
+    NoVertices,
+    NotSimple,
+    UnknownFacetIndex,
+    UnusedFacet,
+)
+from flipcert.quasitoric import ShapeMismatch
+
+
+def check_polytope(dim, facet_names, vertices):
+    """``SimplePolytope``'s checks, index by index: the facet names and
+    vertices it stores, or the first fault it raises."""
+    names, vertices = tuple(facet_names), tuple(map(frozenset, vertices))
+    n, m = dim, len(names)
+    if n < 1:
+        raise BadDimension(f"polytope dimension must be >= 1, got {n}")
+    if len(set(names)) != m:
+        raise DuplicateFacetName("facet names must be distinct")
+    used, seen = set(), set()
+    for v in vertices:
+        for fi in v:  # judged before any wording sorts them
+            if not is_int(fi) or not 0 <= fi < m:
+                raise UnknownFacetIndex(f"facet index {fi!r} out of range")
+        if len(v) != n:
+            raise NotSimple(
+                f"vertex {sorted(v)} lies on {len(v)} facets, expected {n}"
+            )
+        if v in seen:
+            raise DuplicateVertex(f"vertex {sorted(v)} listed twice")
+        seen.add(v)
+        used |= v
+    if used != set(range(m)):
+        raise UnusedFacet(
+            f"facets {sorted(set(range(m)) - used)} appear in no vertex"
+        )
+    if not vertices:
+        raise NoVertices("a polytope needs at least one vertex")
+    return names, vertices
+
+
+def check_pair(polytope, matrix):
+    """``CharacteristicPair``'s checks, entry by entry: ``None``, or the
+    first fault it raises."""
+    n = polytope.dim
+    m = polytope.facet_count
+    rows, seq = matrix, (tuple, list)  # judged before a wording takes len
+    if not isinstance(rows, seq) or not all(isinstance(r, seq) for r in rows):
+        raise ShapeMismatch("matrix must be a tuple or list of rows, each one too")
+    if len(rows) != n:
+        raise ShapeMismatch(f"matrix has {len(rows)} rows, expected {n}")
+    for row in rows:
+        if len(row) != m:
+            raise ShapeMismatch(f"row of length {len(row)}, expected {m} columns")
+        for entry in row:
+            if not is_int(entry):
+                raise ShapeMismatch(f"non-integer entry {entry!r}")
+
+
+def fits(value, kind):
+    """The schema reader's kind test, one call per list element."""
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(fits(v, kind[0]) for v in value)
+    if isinstance(kind, tuple):
+        return any(fits(value, k) for k in kind)
+    if kind is None:
+        return value is None
+    return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
+
 
 
 def faces_of_dimension(k, d: int) -> list:

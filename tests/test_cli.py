@@ -170,7 +170,7 @@ def test_reduce_rejects_negative_dimension(capsys, tmp_path):
     assert out == ""
     diagnostic = json.loads(err)
     assert diagnostic["code"] == "BadInput"
-    assert "dimension >= 0" in diagnostic["message"]
+    assert diagnostic["message"] == "a sphere needs dimension >= 0"
 
 
 def test_certify_and_verify_round_trip(capsys, tmp_path):
@@ -344,10 +344,12 @@ def _lists_every_type(out, paths):
     assert {m["type"] for m in json.loads(out)["moves"]} == {0, 1}
 
 
-def cli_case(name, argv, files=None, exit_code=2, code=None, message="",
+def cli_case(name, argv, files=None, exit_code=2, code=None, message=None,
              location=None, stdin=None, check=None):
     """``argv`` items starting with ``@`` name files under the test's
-    directory, written from ``files`` when listed there."""
+    directory, written from ``files`` when listed there.  ``message`` is the
+    diagnostic's full text, with ``{@name}`` standing for that file's path,
+    or a tuple of the texts it may be."""
     return pytest.param(
         argv, files or {}, exit_code, code, message, location, stdin, check,
         id=name,
@@ -372,8 +374,14 @@ NO_VERTICES = dict(TRIANGLE_CERT["polytope"], facets=[], vertices=[])
 NO_VERTEX = "a polytope needs at least one vertex"
 
 #: A ``--moves`` document nested 1,200 levels deep, past the recursion
-#: limit: refused by the JSON decoder or by the move-sequence decoder.
+#: limit: refused by the JSON decoder or by the move-sequence decoder,
+#: whichever the interpreter's recursion limits leave to refuse it.
 DEEP_MOVES = '{"moves":' * 1200 + "[]" + "}" * 1200
+DEEP_MOVES_REFUSALS = (
+    "-: maximum recursion depth exceeded while decoding a JSON object from a "
+    "unicode string",
+    "move sequence: 'moves' must be list, got dict",
+)
 
 CLI_CASES = [
     cli_case("reduce-torus", ["reduce", "@k"],
@@ -403,7 +411,7 @@ CLI_CASES = [
              message="a complex needs at least one facet"),
     cli_case("build-dual-dim-0", ["build-dual", "@p"],
              {"@p": {"dim": 0, "facets": ["a"], "vertices": [[0]]}},
-             code="BadDimension", message="polytope dimension must be >= 1"),
+             code="BadDimension", message="polytope dimension must be >= 1, got 0"),
     cli_case("build-dual-duplicate-name", ["build-dual", "@p"],
              {"@p": dict(SEGMENT, facets=["a", "a"])},
              code="DuplicateFacetName", message="facet names must be distinct"),
@@ -434,7 +442,7 @@ CLI_CASES = [
     cli_case("check-freeness-shape", ["check-freeness", "@p", "--lambda", "@l"],
              {"@p": SEGMENT,
               "@l": {"rows": 1, "cols": 3, "entries": [[1, 1, 1]]}},
-             code="ShapeMismatch", message="row of length 3"),
+             code="ShapeMismatch", message="row of length 3, expected 2 columns"),
     cli_case("reduce-no-restarts", ["reduce", "@k", "--restarts", "0"],
              {"@k": {"dim": 1, "facets": SQUARE}}, code="BadInput",
              message="invalid search options"),
@@ -460,12 +468,14 @@ CLI_CASES = [
                      "simplex boundary", check=_no_output),
     cli_case("apply-deep-moves", ["apply", "@k", "--moves", "-"],
              {"@k": {"dim": 2, "facets": B5_FACETS}}, stdin=DEEP_MOVES,
-             code="MalformedDocument", check=_no_output),
+             code="MalformedDocument", message=DEEP_MOVES_REFUSALS,
+             check=_no_output),
     cli_case("moves-every-type", ["moves", "@k"],
              {"@k": {"dim": 1, "facets": SQUARE}}, exit_code=0,
              check=_lists_every_type),
     cli_case("missing-input", ["build-dual", "@missing"], code="IOError",
-             message="No such file or directory", location="@missing"),
+             message="[Errno 2] No such file or directory: '{@missing}'",
+             location="@missing"),
     cli_case("stdin-input", ["build-dual", "-"], exit_code=0,
              stdin=json.dumps(SEGMENT), check=_two_points),
     cli_case("certify-rank-3-statement",
@@ -490,11 +500,11 @@ CLI_CASES = [
     # an empty path names no file, as for check-freeness: not a skipped check
     cli_case("certify-empty-lambda-path", ["certify", "@p", "--lambda", ""],
              {"@p": CUBE_3}, code="IOError",
-             message="No such file or directory", check=_no_output),
+             message="[Errno 2] No such file or directory: ''", check=_no_output),
     cli_case("certify-empty-statement-path",
              ["certify", "@p", "--lambda", "@l", "--statement", ""],
              {"@p": CUBE_3, "@l": PAIRED_IDENTITY}, code="IOError",
-             message="No such file or directory"),
+             message="[Errno 2] No such file or directory: ''"),
 ]
 
 
@@ -516,7 +526,8 @@ def test_cli_outcomes(capsys, tmp_path, monkeypatch, argv, files, exit_code,
         (line,) = err.splitlines()
         diagnostic = json.loads(line)
         assert diagnostic["code"] == code
-        assert message in diagnostic["message"]
+        texts = message if isinstance(message, tuple) else (message,)
+        assert diagnostic["message"] in [t.format_map(paths) for t in texts]
         if location is not None:
             assert diagnostic["location"] == paths[location]
     if check is not None:

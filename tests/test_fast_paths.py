@@ -39,6 +39,12 @@ reference path it replaces.
 - ``serialize.fields``, with its one-pass list check, against the
   recursive per-key ``require`` it replaced, on random JSON-like values:
   the same values back, or the first failing key's ``MalformedDocument``
+  text;
+- the two constructor gates, ``SimplePolytope`` and
+  ``CharacteristicPair``, which pass an exact ``int`` without calling
+  ``is_int``, against their loops with every index judged by ``is_int``
+  (``tests/reference.py``), on relabelled truncations, each mostly with
+  one fault put in: the same stored value, or the same error type and
   text.
 
 States come from random walks, in dimensions 1-5 and in both search modes,
@@ -58,7 +64,7 @@ import pathlib
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import flipcert as fc
 from flipcert.complexes import BadVertexId, NotAFace, as_simplex
@@ -98,6 +104,7 @@ from conftest import (
     simplex_segment_reduction,
     star_replay,
 )
+import reference
 from reference import faces_of_dimension
 
 
@@ -712,7 +719,7 @@ def test_face_table_replay_matches_sequential_apply_move(walk):
 
 
 def apply_outcome(apply, k, move):
-    """The complex ``apply`` returns, or its error's type and text."""
+    """What ``apply`` returns, or its error's type and text."""
     try:
         return apply(k, move)
     except FlipcertError as exc:
@@ -860,24 +867,12 @@ def test_apply_move_matches_reference_on_each_corruption(b5, name, move):
     assert star_replay(k, [move]) == reference_replay(k, [move])
 
 
-def reference_fits(value, kind):
-    """The recursive ``_fits``: one call per list element."""
-    if isinstance(kind, list):
-        return isinstance(value, list) and all(
-            reference_fits(v, kind[0]) for v in value)
-    if isinstance(kind, tuple):
-        return any(reference_fits(value, k) for k in kind)
-    if kind is None:
-        return value is None
-    return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
-
-
 def reference_require(doc, key, kind, where):
     """The per-key reader that ``fields`` replaced."""
     if not isinstance(doc, dict) or key not in doc:
         raise MalformedDocument(f"{where}: missing key {key!r}")
     value = doc[key]
-    if not reference_fits(value, kind):
+    if not reference.fits(value, kind):
         raise MalformedDocument(
             f"{where}: {key!r} must be {_kind_name(kind)}, got {type(value).__name__}"
         )
@@ -996,3 +991,118 @@ KEYS = ["a", "doc", "where"]
 def test_fields_reads_keys_in_order_like_the_reference(doc, kinds):
     assert read_outcome(lambda: fields(doc, "doc", **dict(kinds))) == read_outcome(
         lambda: [reference_require(doc, key, kind, "doc") for key, kind in kinds])
+
+
+#: Faults put in one facet index or matrix entry.  ``"m"`` stands for the
+#: facet count and ``Id`` for the same value as an ``int`` subclass, which
+#: every gate accepts.
+FAULTS = [True, False, 1.0, Id, -1, "m", "0", None]
+
+
+def faulty(draw, value, m):
+    fault = draw(st.sampled_from(FAULTS))
+    return Id(value) if fault is Id else m if fault == "m" else fault
+
+
+@st.composite
+def polytope_args(draw):
+    """(dim, facet names, vertices) of a relabelled truncation, the vertices
+    as lists, tuples or frozensets, mostly with one fault put in: an index,
+    a vertex repeated, short, long or with an index listed twice, a facet
+    no vertex uses, or no vertices at all."""
+    p = draw(relabelled_truncations())
+    names, m = list(p.facet_names), p.facet_count
+    shape = draw(st.sampled_from((list, tuple, frozenset)))
+    vertices = [sorted(v) for v in p.vertices]
+    i = draw(st.integers(0, len(vertices) - 1))
+    v = vertices[i]
+    fault = draw(st.sampled_from((None, "index", "repeated vertex", "short",
+                                  "long", "repeated index", "unused", "empty")))
+    if fault == "index":
+        j = draw(st.integers(0, len(v) - 1))
+        v[j] = faulty(draw, v[j], m)
+    elif fault == "repeated vertex":
+        vertices.insert(draw(st.integers(0, len(vertices))), list(v))
+    elif fault == "short":
+        del v[draw(st.integers(0, len(v) - 1))]
+    elif fault == "long":
+        v.append(draw(st.sampled_from(sorted(set(range(m)) - set(v)))))
+    elif fault == "repeated index":
+        v.append(draw(st.sampled_from(v)))
+    elif fault == "unused":
+        names.append("unused")
+    elif fault == "empty":
+        vertices = []
+    return p.dim, names, [shape(v) for v in vertices]
+
+
+def stored(build):
+    """The facet names and the vertices, with each index's type, that
+    ``build`` stores, or its error's type and text."""
+    try:
+        names, vertices = build()
+    except FlipcertError as exc:
+        return type(exc), str(exc)
+    return names, [frozenset((type(x), x) for x in v) for v in vertices]
+
+
+def stored_polytope(p):
+    return p.facet_names, p.vertices
+
+
+GATES = settings(max_examples=300, deadline=None,
+                 suppress_health_check=[HealthCheck.too_slow])
+
+
+@GATES
+@given(polytope_args())
+# a bool or float equal to an index some earlier vertex holds: every index
+# is judged, not only the first of equal keys in the vertices' union
+@example((2, list("abc"), [[0, 1], [True, 2], [0, 2]]))
+@example((2, list("abc"), [[0, 1], [0, 2], [1.0, 2]]))
+def test_polytope_gate_matches_reference(args):
+    assert stored(lambda: stored_polytope(SimplePolytope(*args))) == stored(
+        lambda: reference.check_polytope(*args))
+
+
+@st.composite
+def pair_args(draw):
+    """(polytope, matrix) with a random integer matrix of the right shape,
+    as tuples or lists, mostly with one fault put in: an entry, a row too
+    many or too few, a short or long row, a ``range``, ``str`` or ``int``
+    row, or a bare ``int``, ``range`` or ``str`` for the matrix."""
+    p = draw(relabelled_truncations())
+    n, m = p.dim, p.facet_count
+    rows = [draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m))
+            for _ in range(n)]
+    i = draw(st.integers(0, n - 1))
+    fault = draw(st.sampled_from((None, "entry", "extra row", "missing row",
+                                  "short", "long", "row", "matrix")))
+    if fault == "entry":
+        j = draw(st.integers(0, m - 1))
+        rows[i][j] = faulty(draw, rows[i][j], m)
+    elif fault == "extra row":
+        rows.append(list(rows[i]))
+    elif fault == "missing row":
+        del rows[i]
+    elif fault == "short":
+        del rows[i][draw(st.integers(0, m - 1))]
+    elif fault == "long":
+        rows[i].append(0)
+    shape = draw(st.sampled_from((list, tuple)))
+    matrix = draw(st.sampled_from((list, tuple)))(shape(row) for row in rows)
+    if fault == "row":
+        matrix = list(matrix)
+        matrix[i] = draw(st.sampled_from((range(m), "0" * m, 7)))
+    elif fault == "matrix":
+        matrix = draw(st.sampled_from((5, range(n), "0" * n)))
+    return p, matrix
+
+
+@GATES
+@given(pair_args())
+def test_pair_gate_matches_reference(args):
+    # the pair stores its matrix as given; the reference returns None
+    fast = apply_outcome(CharacteristicPair, *args)
+    assert (None if isinstance(fast, CharacteristicPair) else fast) == apply_outcome(
+        reference.check_pair, *args)

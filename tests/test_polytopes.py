@@ -71,6 +71,11 @@ REFUSALS = [
      "facet index False out of range"),
     ((1, ["a", "b"], [[-1], [0]]), UnknownFacetIndex, "facet index -1 out of range"),
     ((1, ["a", "b"], [["0"], [1]]), UnknownFacetIndex, "facet index '0' out of range"),
+    # equal to an index an earlier vertex holds: each index is judged itself
+    ((2, "abc", [[0, 1], [True, 2], [0, 2]]), UnknownFacetIndex,
+     "facet index True out of range"),
+    ((2, "abc", [[0, 1], [0, 2], [1.0, 2]]), UnknownFacetIndex,
+     "facet index 1.0 out of range"),
     ((2, ["a", "b", "c"], [[0, 1], [1, 0], [1, 2], [0, 2]]), DuplicateVertex,
      "vertex [0, 1] listed twice"),
     ((2, ["a", "b", "c", "d"], [[0, 1], [1, 2], [0, 2]]), UnusedFacet,

@@ -100,6 +100,36 @@ def test_pair_refuses_what_is_no_rows_before_taking_a_length(matrix):
         "matrix must be a tuple or list of rows, each one too")
 
 
+NO_ROWS = "matrix must be a tuple or list of rows, each one too"
+
+#: (matrix over the triangle, 2 rows of 3 columns, exact text of the
+#: ShapeMismatch); the later rows fix the order in which faults are found.
+REFUSALS = [
+    (((1, 0, 0),), "matrix has 1 rows, expected 2"),
+    (((1, 0, 0), (0, 1, 0), (0, 0, 1)), "matrix has 3 rows, expected 2"),
+    (((1, 0), (0, 1, 0)), "row of length 2, expected 3 columns"),
+    (((1, 0, 0), (0, 1, 0, 0)), "row of length 4, expected 3 columns"),
+    (((1, 0, 0), (0, True, 1)), "non-integer entry True"),
+    (((1, 0, 0), (0, 1.0, 1)), "non-integer entry 1.0"),
+    ([[1, 0, 0], [0, 1, "1"]], "non-integer entry '1'"),
+    (((1, 0, 0), range(3)), NO_ROWS),
+    (((1, 0, 0), "010"), NO_ROWS),
+    (5, NO_ROWS),
+    (range(2), NO_ROWS),
+    (((1, 0, True), (0, 1)), "non-integer entry True"),
+    (((1, 0), (0, 1, 1.5)), "row of length 2, expected 3 columns"),
+    (((1, 0, 1.5), (0, 1, 0), (0, 0, 1)), "matrix has 3 rows, expected 2"),
+    (((1, 0, 1.5), 7), NO_ROWS),
+]
+
+
+@pytest.mark.parametrize("matrix, text", REFUSALS)
+def test_each_pair_refusal_keeps_its_text(matrix, text):
+    with pytest.raises(ShapeMismatch) as caught:
+        CharacteristicPair(fc.simplex_polytope(2), matrix)
+    assert type(caught.value) is ShapeMismatch and str(caught.value) == text
+
+
 def test_quotient_descriptor():
     assert fc.quotient_descriptor(fc.cpn_pair(2)) == {
         "manifold_dim": 4,
