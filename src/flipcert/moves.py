@@ -6,10 +6,10 @@ A move of type ``i`` on a complex of dimension ``n-1`` rewrites the star of a
 ``{s ∪ tau : s in boundary(sigma)}``.  Type 0 introduces a fresh vertex, type
 ``n-1`` deletes one, and the inverse move swaps the roles of ``sigma`` and
 ``tau``.  This module alone decides which move sequences are valid:
-``replay`` applies a sequence on vertex stars, judging each move by set
-intersections, and counts no faces; ``apply_move`` is a one-move replay.
-The checker, ``surgery``, takes the replay from here and never imports the
-search.  ``is_applicable`` is the tests' reference judge.
+``replay`` applies a sequence on vertex stars, judging each move in one
+ordered pass of set intersections, and counts no faces; ``apply_move`` is a
+one-move replay.  The checker, ``surgery``, takes the replay from here and
+never imports the search.  ``is_applicable`` is the tests' reference judge.
 
 The search's only state is a ``FaceTable``, the one lister of faces here;
 it keeps the table from move to move and builds a ``Complex`` only on request.
@@ -231,35 +231,31 @@ def _vertex_stars(facets) -> dict:
 
 def _apply(star, dim: int, move):
     """Apply ``move`` in place to the vertex stars of a complex of dimension
-    ``dim``.  A move ``(sigma, tau)`` of type ``i`` applies iff ``len(sigma)
-    == dim + 1 - i`` and ``len(tau) == i + 1`` are not 0, the stars of
-    ``sigma``'s vertices share exactly ``i + 1`` facets, all inside ``sigma
-    ∪ tau`` (so they hold ``sigma`` and are ``sigma * boundary(tau)``), and
-    those of ``tau``'s share none: ``tau`` is no face.  Else it raises the
-    first of these faults: ``sigma`` no face, the declared type, the link, a
-    type-0 ``tau``, a ``tau`` not the link's."""
+    ``dim``, judged in one ordered pass.  ``held``, the facets that the stars
+    of ``sigma``'s vertices share, and ``rest``, their vertices outside
+    ``sigma``, make the link of a type-``i >= 1`` ``sigma`` ``boundary(rest)``
+    iff each numbers ``i + 1`` and ``rest`` is no face.  The first fault is
+    raised: ``sigma`` no face, the declared type, the link, a type-0 ``tau``
+    not one fresh vertex, a ``tau`` not ``rest``; else ``held`` is rewritten."""
     sigma, tau = as_simplex(move.sigma), as_simplex(move.tau)
-    s, t, stars = len(sigma), len(tau), [star[v] for v in sigma + tau]
-    if not (move.move_type == dim + 1 - s == t - 1 and s and t
-            and len(removed := set.intersection(*stars[:s])) == t
-            and all(map(set(sigma + tau).issuperset, removed))
-            and not set.intersection(*stars[s:])):
-        i, held = dim + 1 - s, set.intersection(*stars[:s]) if s else ()
-        rest = tuple(sorted(set().union(*held).difference(sigma)))
-        if s and not held:
-            raise NotApplicable(f"sigma {sigma} is not a face")
-        if move.move_type != i:
-            raise NotApplicable(
-                f"declared type {move.move_type} but sigma {sigma} has type {i}")
-        if not s or i and (len(held) != i + 1 or len(rest) != i + 1
-                           or set.intersection(*(star[v] for v in rest))):
-            raise NotApplicable(f"link of {sigma} is not a usable simplex boundary")
-        if i == 0 and t != 1:
-            raise NotApplicable(f"type-0 tau must be a single vertex, got {tau}")
-        if i == 0:  # sigma is a facet and tau one vertex: it is not fresh
-            raise TauNotFresh(f"vertex {tau[0]} already in the support")
-        raise StaleTau(f"expected tau {rest}, got {tau}")
-    for facet in removed:
+    s, i = len(sigma), dim + 1 - len(sigma)
+    held = set.intersection(*(star[v] for v in sigma)) if s else ()
+    rest = set().union(*held).difference(sigma)
+    if s and not held:
+        raise NotApplicable(f"sigma {sigma} is not a face")
+    if move.move_type != i:
+        raise NotApplicable(
+            f"declared type {move.move_type} but sigma {sigma} has type {i}")
+    if not s or i and (len(held) != i + 1 or len(rest) != i + 1
+                       or set.intersection(*(star[v] for v in rest))):
+        raise NotApplicable(f"link of {sigma} is not a usable simplex boundary")
+    if i == 0 and len(tau) != 1:
+        raise NotApplicable(f"type-0 tau must be a single vertex, got {tau}")
+    if i == 0 and star[tau[0]]:
+        raise TauNotFresh(f"vertex {tau[0]} already in the support")
+    if i and rest != set(tau):
+        raise StaleTau(f"expected tau {tuple(sorted(rest))}, got {tau}")
+    for facet in held:
         for v in facet:
             star[v].discard(facet)
     for facet in join_boundary(tau, sigma):

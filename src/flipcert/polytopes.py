@@ -60,6 +60,8 @@ class SimplePolytope:
     def __post_init__(self):
         names, vertices = tuple(self.facet_names), tuple(map(frozenset, self.vertices))
         n, m = self.dim, len(names)
+        if not is_int(n):
+            raise BadDimension(f"polytope dimension must be an int, got {n!r}")
         if n < 1:
             raise BadDimension(f"polytope dimension must be >= 1, got {n}")
         if len(set(names)) != m:

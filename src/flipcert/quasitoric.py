@@ -24,9 +24,10 @@ class NotFree(FlipcertError):
 
 @dataclass(frozen=True)
 class CharacteristicPair:
-    """A polytope with an integer matrix assigning a column to each facet;
-    a matrix of any other shape raises ``ShapeMismatch``.  An exact ``int``
-    entry passes its type test inline; any other goes to ``is_int``."""
+    """A polytope with an integer matrix assigning a column to each facet,
+    stored as the tuple of row tuples it was checked as; a matrix of any
+    other shape raises ``ShapeMismatch``.  An exact ``int`` entry passes
+    its type test inline; any other goes to ``is_int``."""
 
     polytope: SimplePolytope
     matrix: tuple  # n rows of m integers each, row-major
@@ -45,6 +46,7 @@ class CharacteristicPair:
             for entry in row:
                 if not (type(entry) is int or is_int(entry)):
                     raise ShapeMismatch(f"non-integer entry {entry!r}")
+        object.__setattr__(self, "matrix", tuple(map(tuple, rows)))
 
 
 @dataclass(frozen=True)
@@ -101,11 +103,8 @@ def check_freeness(pair: CharacteristicPair) -> FreenessReport:
 def cpn_pair(n: int) -> CharacteristicPair:
     """The classical pair over the n-simplex whose kernel is the diagonal
     circle: facet 0 maps to -(e1+...+en), facet i to e_i."""
-    rows = []
-    for r in range(n):
-        row = [-1] + [1 if c == r else 0 for c in range(n)]
-        rows.append(tuple(row))
-    return CharacteristicPair(simplex_polytope(n), tuple(rows))
+    rows = [[-1] + [1 if c == r else 0 for c in range(n)] for r in range(n)]
+    return CharacteristicPair(simplex_polytope(n), rows)
 
 
 def quotient_descriptor(pair: CharacteristicPair) -> dict:

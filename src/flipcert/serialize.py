@@ -174,7 +174,7 @@ def lambda_from_doc(doc, polytope: SimplePolytope) -> CharacteristicPair:
         raise MalformedDocument(
             f"lambda: declared {rows}x{cols}, entries do not have that shape"
         )
-    return CharacteristicPair(polytope, tuple(tuple(row) for row in entries))
+    return CharacteristicPair(polytope, entries)
 
 
 def dump(doc) -> str:

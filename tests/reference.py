@@ -29,6 +29,8 @@ def check_polytope(dim, facet_names, vertices):
     vertices it stores, or the first fault it raises."""
     names, vertices = tuple(facet_names), tuple(map(frozenset, vertices))
     n, m = dim, len(names)
+    if not is_int(n):
+        raise BadDimension(f"polytope dimension must be an int, got {n!r}")
     if n < 1:
         raise BadDimension(f"polytope dimension must be >= 1, got {n}")
     if len(set(names)) != m:
@@ -56,8 +58,8 @@ def check_polytope(dim, facet_names, vertices):
 
 
 def check_pair(polytope, matrix):
-    """``CharacteristicPair``'s checks, entry by entry: ``None``, or the
-    first fault it raises."""
+    """``CharacteristicPair``'s checks, entry by entry: the matrix it
+    stores, or the first fault it raises."""
     n = polytope.dim
     m = polytope.facet_count
     rows, seq = matrix, (tuple, list)  # judged before a wording takes len
@@ -71,6 +73,7 @@ def check_pair(polytope, matrix):
         for entry in row:
             if not is_int(entry):
                 raise ShapeMismatch(f"non-integer entry {entry!r}")
+    return tuple(tuple(row) for row in rows)
 
 
 def fits(value, kind):

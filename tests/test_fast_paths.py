@@ -34,8 +34,10 @@ reference path it replaces.
   ``f_vector`` before and after one move of every type in dimensions 1-8;
 - ``apply_move``, one replay step on the vertex stars, against
   ``reference_apply_move`` on those walks, on each corruption of ``b5``,
-  on ``{∅}`` and on moves with two faults at once, which fix the order of
-  the checks: the same complex, or the same error type and text;
+  on ``{∅}``, on moves with two faults at once, which fix the order of
+  the checks, and on arbitrary moves drawn from a walk state's support and
+  one fresh id, of any declared type in -1..dim+2: the same complex, or
+  the same error type and text, from ``apply_move`` and the replay alike;
 - ``serialize.fields``, with its one-pass list check, against the
   recursive per-key ``require`` it replaced, on random JSON-like values:
   the same values back, or the first failing key's ``MalformedDocument``
@@ -44,8 +46,8 @@ reference path it replaces.
   ``CharacteristicPair``, which pass an exact ``int`` without calling
   ``is_int``, against their loops with every index judged by ``is_int``
   (``tests/reference.py``), on relabelled truncations, each mostly with
-  one fault put in: the same stored value, or the same error type and
-  text.
+  one fault put in, the polytope's dimension among them: the same stored
+  value, or the same error type and text.
 
 States come from random walks, in dimensions 1-5 and in both search modes,
 driven by the reference enumeration so the walk never trusts the code it
@@ -713,7 +715,7 @@ def corrupted_walks(draw):
 
 @FAST
 @given(corrupted_walks())
-def test_face_table_replay_matches_sequential_apply_move(walk):
+def test_replay_matches_sequential_apply_move(walk):
     start, moves = walk
     assert star_replay(start, moves) == reference_replay(start, moves)
 
@@ -839,11 +841,6 @@ def test_the_replay_enumerates_no_subsets(monkeypatch):
     assert moves.replay(dual.complex, result.moves) == result.final
 
 
-@pytest.mark.parametrize("move", CORRUPTIONS)
-def test_face_table_replay_matches_apply_move_on_each_corruption(b5, move):
-    assert star_replay(b5, [move]) == reference_replay(b5, [move])
-
-
 @pytest.mark.parametrize("name, move", [
     *(("b5", move) for move in CORRUPTIONS),
     # the cases of test_moves.py::test_apply_errors
@@ -860,9 +857,46 @@ def test_face_table_replay_matches_apply_move_on_each_corruption(b5, move):
     ("b5", fc.Move((0,), (1, 2, 4), 2)),  # link a 4-cycle, tau not its
     ("empty", fc.Move((), (0, 1), 0)),  # no move at (), type-0 tau long
     ("b5", fc.Move((0, 1, 4), (5, 6), 0)),  # type-0 tau long and not fresh
+    ("b5", fc.Move((0, 1, 4), (5, 6), 1)),  # wrong type, type-0 tau long
+    # one fault each, at a step of the ordered judge no row above reaches
+    ("b5", fc.Move((1, 4), (0, 2), 1)),  # tau is rest, but rest is an edge
+    ("b5", fc.Move((4, 6), (0, 1), 1)),  # sigma holds an id of no star
+    ("b5", fc.Move((4,), (0, 1, 2), 3)),  # declared type above dim
+    ("b5", fc.Move((0, 1, 4), (0,), 0)),  # type-0 tau a vertex of sigma
 ])
 def test_apply_move_matches_reference_on_each_corruption(b5, name, move):
     k = b5 if name == "b5" else EMPTY
+    assert_apply_matches_reference(k, move)
+    assert star_replay(k, [move]) == reference_replay(k, [move])
+
+
+@st.composite
+def arbitrary_moves(draw):
+    """(complex, move): a walk state and a move drawn with no regard for
+    validity, its ids unsorted.  ``sigma`` starts as a face and ``tau`` as
+    ids beside it or one fresh id; each may then gain ids of the support or
+    the fresh one, so either may be empty, overlap the other or repeat an
+    id.  The declared type lies in -1..dim+2, most often the one that
+    ``sigma``'s size gives."""
+    k, _ = draw(walk_states())
+    fresh = max(k.support) + 1
+    any_id = st.sampled_from([*sorted(k.support), fresh])
+    facet = draw(st.permutations(draw(st.sampled_from(k.facets))))
+    sigma = facet[:draw(st.integers(0, len(facet)))]
+    beside = set().union(*(f for f in k.facets if set(sigma) <= set(f))) - set(sigma)
+    tau = draw(st.lists(st.sampled_from([*sorted(beside), fresh]), unique=True,
+                        max_size=k.dim + 2))
+    sigma += draw(st.lists(any_id, max_size=1))
+    tau += draw(st.lists(any_id, max_size=1))
+    size_type = min(max(k.dim + 1 - len(set(sigma)), -1), k.dim + 2)
+    move_type = draw(st.just(size_type) | st.integers(-1, k.dim + 2))
+    return k, fc.Move(tuple(sigma), tuple(tau), move_type)
+
+
+@settings(FAST, max_examples=300)
+@given(arbitrary_moves())
+def test_apply_move_and_replay_match_reference_on_arbitrary_moves(state):
+    k, move = state
     assert_apply_matches_reference(k, move)
     assert star_replay(k, [move]) == reference_replay(k, [move])
 
@@ -993,9 +1027,9 @@ def test_fields_reads_keys_in_order_like_the_reference(doc, kinds):
         lambda: [reference_require(doc, key, kind, "doc") for key, kind in kinds])
 
 
-#: Faults put in one facet index or matrix entry.  ``"m"`` stands for the
-#: facet count and ``Id`` for the same value as an ``int`` subclass, which
-#: every gate accepts.
+#: Faults put in one facet index, matrix entry or polytope dimension.  ``"m"``
+#: stands for the facet count and ``Id`` for the same value as an ``int``
+#: subclass, which every gate accepts.
 FAULTS = [True, False, 1.0, Id, -1, "m", "0", None]
 
 
@@ -1007,18 +1041,20 @@ def faulty(draw, value, m):
 @st.composite
 def polytope_args(draw):
     """(dim, facet names, vertices) of a relabelled truncation, the vertices
-    as lists, tuples or frozensets, mostly with one fault put in: an index,
-    a vertex repeated, short, long or with an index listed twice, a facet
-    no vertex uses, or no vertices at all."""
+    as lists, tuples or frozensets, mostly with one fault put in: the
+    dimension, an index, a vertex repeated, short, long or with an index
+    listed twice, a facet no vertex uses, or no vertices at all."""
     p = draw(relabelled_truncations())
-    names, m = list(p.facet_names), p.facet_count
+    dim, names, m = p.dim, list(p.facet_names), p.facet_count
     shape = draw(st.sampled_from((list, tuple, frozenset)))
     vertices = [sorted(v) for v in p.vertices]
     i = draw(st.integers(0, len(vertices) - 1))
     v = vertices[i]
-    fault = draw(st.sampled_from((None, "index", "repeated vertex", "short",
+    fault = draw(st.sampled_from((None, "dim", "index", "repeated vertex", "short",
                                   "long", "repeated index", "unused", "empty")))
-    if fault == "index":
+    if fault == "dim":
+        dim = faulty(draw, dim, m)
+    elif fault == "index":
         j = draw(st.integers(0, len(v) - 1))
         v[j] = faulty(draw, v[j], m)
     elif fault == "repeated vertex":
@@ -1033,7 +1069,7 @@ def polytope_args(draw):
         names.append("unused")
     elif fault == "empty":
         vertices = []
-    return p.dim, names, [shape(v) for v in vertices]
+    return dim, names, [shape(v) for v in vertices]
 
 
 def stored(build):
@@ -1102,7 +1138,14 @@ def pair_args(draw):
 @GATES
 @given(pair_args())
 def test_pair_gate_matches_reference(args):
-    # the pair stores its matrix as given; the reference returns None
-    fast = apply_outcome(CharacteristicPair, *args)
-    assert (None if isinstance(fast, CharacteristicPair) else fast) == apply_outcome(
-        reference.check_pair, *args)
+    # the matrix each stores, with each entry's type, or the same error
+    def stored_matrix(check):
+        try:
+            matrix = check(*args)
+        except FlipcertError as exc:
+            return type(exc), str(exc)
+        if isinstance(matrix, CharacteristicPair):
+            matrix = matrix.matrix
+        return matrix, [tuple(map(type, row)) for row in matrix]
+
+    assert stored_matrix(CharacteristicPair) == stored_matrix(reference.check_pair)

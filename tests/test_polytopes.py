@@ -62,6 +62,14 @@ def test_parse_no_vertices():
 #: polytope is built; the later cases fix the order of the checks.
 REFUSALS = [
     ((0, ["a"], [[0]]), BadDimension, "polytope dimension must be >= 1, got 0"),
+    # judged by is_int before it is compared: none of these is a dimension
+    ((2.0, "abc", [[0, 1], [1, 2], [0, 2]]), BadDimension,
+     "polytope dimension must be an int, got 2.0"),
+    ((True, "ab", [[0], [1]]), BadDimension, "polytope dimension must be an int, got True"),
+    (("2", "abc", [[0, 1], [1, 2], [0, 2]]), BadDimension,
+     "polytope dimension must be an int, got '2'"),
+    ((None, "abc", [[0, 1], [1, 2], [0, 2]]), BadDimension,
+     "polytope dimension must be an int, got None"),
     ((1, ["a", "a"], [[0], [1]]), DuplicateFacetName, "facet names must be distinct"),
     ((2, ["a", "b", "c"], [[0, 1, 2], [0, 1]]), NotSimple,
      "vertex [0, 1, 2] lies on 3 facets, expected 2"),

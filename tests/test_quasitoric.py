@@ -59,6 +59,17 @@ def test_cube_paired_identity_is_free():
     assert fc.check_freeness(pair).ok
 
 
+def test_a_pair_stores_the_row_tuples_it_checked_however_built():
+    p = fc.simplex_polytope(1)
+    from_lists, from_tuples = CharacteristicPair(p, [[-1, 1]]), CharacteristicPair(p, ((-1, 1),))
+    assert from_lists == from_tuples and hash(from_lists) == hash(from_tuples)
+    assert type(from_lists.matrix) is tuple and type(from_lists.matrix[0]) is tuple
+    # rows that are exact tuples are kept as the same objects
+    cube = fc.named_polytope("cube-3")
+    stored = CharacteristicPair(cube, list(CUBE_PAIRED_IDENTITY)).matrix
+    assert all(a is b for a, b in zip(stored, CUBE_PAIRED_IDENTITY, strict=True))
+
+
 def test_zero_column_fails_everywhere_it_appears():
     polytope = fc.simplex_polytope(2)
     pair = CharacteristicPair(polytope, ((0, 1, 0), (0, 0, 1)))
