@@ -11,6 +11,8 @@ every ``main`` call; parsing never changes it.
 import argparse
 import functools
 import json
+import os
+import stat
 import sys
 
 from .complexes import is_pseudomanifold
@@ -50,9 +52,9 @@ def _read_json(path):
     # ValueError: bad JSON, bad UTF-8 or huge ints; RecursionError: deep nesting
     try:
         if path == "-":
-            return json.loads(sys.stdin.read())
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.loads(handle.read())
+            return json.loads(sys.stdin.buffer.read().decode("utf-8"))
+        with open(path, "rb") as handle:
+            return json.loads(handle.read().decode("utf-8"))
     except (ValueError, RecursionError) as exc:
         raise serialize.MalformedDocument(f"{path}: {exc}")
 
@@ -70,9 +72,15 @@ def _write(path, doc):
     text = serialize.dump(doc)
     if path == "-":
         sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        return
+    # without O_TRUNC, which costs more than the write; binary fd on Windows
+    flags = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+    fd = os.open(path, flags, 0o666)
+    with open(fd, "w", encoding="utf-8") as handle:
+        handle.write(text)
+        info = os.fstat(fd)  # bytes >= len(text): only a longer old file is cut
+        if stat.S_ISREG(info.st_mode) and info.st_size > len(text):
+            handle.truncate()
 
 
 def _diagnostic(code, message, location=None):

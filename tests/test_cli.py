@@ -1,7 +1,9 @@
 import hashlib
 import io
 import json
+import os
 import pathlib
+import threading
 
 import pytest
 
@@ -517,7 +519,7 @@ def test_cli_outcomes(capsys, tmp_path, monkeypatch, argv, files, exit_code,
     for name, doc in files.items():
         write_json(tmp_path / f"{name[1:]}.json", doc)
     if stdin is not None:
-        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        set_stdin(monkeypatch, stdin.encode("utf-8"))
     result, out, err = run(capsys, [paths.get(a, a) for a in argv])
     assert result == exit_code
     if code is None:
@@ -532,6 +534,152 @@ def test_cli_outcomes(capsys, tmp_path, monkeypatch, argv, files, exit_code,
             assert diagnostic["location"] == paths[location]
     if check is not None:
         check(out, paths)
+
+
+def set_stdin(monkeypatch, data, encoding="utf-8"):
+    """Feed ``data`` (bytes) as stdin, behind a text layer of ``encoding``
+    as the locale would set it."""
+    monkeypatch.setattr(
+        "sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding=encoding)
+    )
+
+
+#: A segment whose facet names are not ASCII.
+ACCENTED_SEGMENT = dict(SEGMENT, facets=["\u00e9", "\u00fc"])
+ACCENTED_BYTES = json.dumps(ACCENTED_SEGMENT, ensure_ascii=False).encode("utf-8")
+
+
+def test_stdin_is_read_as_utf8_whatever_its_text_encoding(
+        capsys, tmp_path, monkeypatch):
+    path = tmp_path / "p.json"
+    path.write_bytes(ACCENTED_BYTES)
+    code, from_path, _ = run(capsys, ["certify", str(path)])
+    assert code == 0
+    set_stdin(monkeypatch, ACCENTED_BYTES, "latin-1")
+    code, from_stdin, _ = run(capsys, ["certify", "-"])
+    assert code == 0
+    assert from_stdin == from_path
+    assert json.loads(from_stdin)["polytope"]["facets"] == ["\u00e9", "\u00fc"]
+
+
+def test_stdin_that_is_not_utf8_is_malformed(capsys, monkeypatch):
+    latin_1 = json.dumps(ACCENTED_SEGMENT, ensure_ascii=False).encode("latin-1")
+    set_stdin(monkeypatch, latin_1, "latin-1")
+    code, out, err = run(capsys, ["certify", "-"])
+    assert code == 2 and out == ""
+    assert json.loads(err)["code"] == "MalformedDocument"
+
+
+def test_a_file_and_stdin_give_one_decode_error_for_crlf_bytes(
+        capsys, tmp_path, monkeypatch):
+    # both are read as bytes: no newline translation moves the offsets
+    data = b'{"dim": 1,\r\n "facets": ["a", "b"],\r\n}\r\n'
+    path = tmp_path / "p.json"
+    path.write_bytes(data)
+    messages = []
+    for source in (str(path), "-"):
+        set_stdin(monkeypatch, data)
+        code, out, err = run(capsys, ["build-dual", source])
+        assert code == 2 and out == ""
+        diagnostic = json.loads(err)
+        assert diagnostic["code"] == "MalformedDocument"
+        messages.append(diagnostic["message"].removeprefix(f"{source}: "))
+    assert messages[0] == messages[1]
+    assert messages[0].endswith("line 3 column 1 (char 36)")  # CRs counted
+
+
+def _verify_argv(tmp_path):
+    return ["verify", write_json(tmp_path / "c.json", TRIANGLE_CERT)]
+
+
+@pytest.mark.parametrize("old", [
+    lambda expected: b"x" * 300_000, lambda expected: b"{}\n",
+    lambda expected: expected,
+], ids=["longer", "shorter", "same"])
+@pytest.mark.parametrize("argv", [
+    lambda tmp_path: ["examples"], _verify_argv,
+], ids=["examples", "verify"])
+def test_output_overwrites_an_old_file(capsys, tmp_path, argv, old):
+    argv = argv(tmp_path)
+    code, expected, _ = run(capsys, argv)
+    assert code == 0
+    out = tmp_path / "out.json"
+    out.write_bytes(old(expected.encode("utf-8")))
+    code, printed, _ = run(capsys, [*argv, "--output", str(out)])
+    assert code == 0 and printed == ""
+    assert out.read_bytes() == expected.encode("utf-8")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+def test_output_to_dev_null(capsys):
+    assert run(capsys, ["examples", "--output", "/dev/null"]) == (0, "", "")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="FIFOs are POSIX only")
+def test_output_to_fifo(capsys, tmp_path):
+    code, expected, _ = run(capsys, ["examples"])
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(
+        target=lambda: received.append(fifo.read_bytes()), daemon=True
+    )
+    reader.start()
+    assert run(capsys, ["examples", "--output", str(fifo)]) == (0, "", "")
+    reader.join(timeout=60)
+    assert received == [expected.encode("utf-8")]
+
+
+@pytest.mark.parametrize("where, message", [
+    (lambda tmp_path: tmp_path, "[Errno 21] Is a directory: '{}'"),
+    (lambda tmp_path: tmp_path / "missing" / "out.json",
+     "[Errno 2] No such file or directory: '{}'"),
+], ids=["directory", "missing-directory"])
+def test_unwritable_output_is_an_io_error(capsys, tmp_path, where, message):
+    path = str(where(tmp_path))
+    code, out, err = run(capsys, ["examples", "--output", path])
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "code": "IOError", "message": message.format(path), "location": path,
+    }
+
+
+def test_statement_over_the_certificate_keeps_only_the_statement(
+        capsys, tmp_path):
+    ppath = write_json(tmp_path / "p.json", CUBE_3)
+    lpath = write_json(tmp_path / "l.json", PAIRED_IDENTITY)
+    apart = tmp_path / "statement.json"
+    code, cert, _ = run(capsys, [
+        "certify", ppath, "--lambda", lpath, "--statement", str(apart),
+    ])
+    assert code == 0
+    statement = apart.read_bytes()
+    assert len(cert.encode("utf-8")) > len(statement)  # so it must truncate
+    both = str(tmp_path / "both.json")
+    code, out, _ = run(capsys, [
+        "certify", ppath, "--lambda", lpath, "--output", both,
+        "--statement", both,
+    ])
+    assert code == 0 and out == ""
+    assert pathlib.Path(both).read_bytes() == statement
+
+
+def test_outputs_are_rewritten_without_o_trunc(capsys, tmp_path, monkeypatch):
+    # opening with O_TRUNC costs more than the write itself when a file is
+    # overwritten; a plain open(path, "w") would also skip this os.open
+    out = tmp_path / "out.json"
+    out.write_text("old")
+    flags = []
+    real_open = os.open
+
+    def recording_open(path, flag, *rest, **kwargs):
+        if os.fspath(path) == str(out):
+            flags.append(flag)
+        return real_open(path, flag, *rest, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    assert run(capsys, ["examples", "--output", str(out)]) == (0, "", "")
+    assert flags and not any(flag & os.O_TRUNC for flag in flags)
 
 
 def run_module(argv, hash_seed="0", timeout=None):
