@@ -16,10 +16,15 @@ for name, polytope in fc.corpus().items():
     if dual.dim >= 1:
         print(f"  pseudomanifold: {fc.is_pseudomanifold(dual)}")
 
-# the dual of a product is the join of the duals (after index shifting)
+# the dual of a product is the join of the duals: after shifting the
+# segment's vertex ids past the triangle's, each facet of the join is the
+# union of one facet from each factor
 prism = fc.product(fc.simplex_polytope(2), fc.simplex_polytope(1))
 triangle_dual = fc.dual_complex(fc.simplex_polytope(2)).complex
 segment_dual = fc.dual_complex(fc.simplex_polytope(1)).complex
-shifted = fc.Complex(0, [(v + 3,) for f in segment_dual.facets for v in f])
+joined = fc.Complex(triangle_dual.dim + segment_dual.dim + 1, [
+    a + tuple(v + 3 for v in b)
+    for a in triangle_dual.facets for b in segment_dual.facets
+])
 print("\nprism dual equals join of factor duals:",
-      fc.dual_complex(prism).complex == fc.join(triangle_dual, shifted))
+      fc.dual_complex(prism).complex == joined)

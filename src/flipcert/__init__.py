@@ -3,16 +3,12 @@ equivariant-surgery certificates."""
 
 from .complexes import (
     Complex,
-    boundary_simplex,
     euler_characteristic,
     f_vector,
-    has_face,
     is_boundary_of_simplex,
     is_pseudomanifold,
-    join,
-    link,
 )
-from .moves import Move, apply_move, enumerate_moves, inverse_move, is_applicable
+from .moves import Move, apply_move, enumerate_moves, inverse_move
 from .polytopes import (
     DualComplexMap,
     SimplePolytope,
@@ -23,12 +19,7 @@ from .polytopes import (
     product,
     simplex_polytope,
 )
-from .quasitoric import (
-    CharacteristicPair,
-    check_freeness,
-    cpn_pair,
-    quotient_descriptor,
-)
+from .quasitoric import CharacteristicPair, check_freeness, quotient_descriptor
 from .reduction import (
     ReductionOptions,
     ReductionResult,
@@ -52,23 +43,17 @@ __all__ = [
     "SimplePolytope",
     "SurgeryCertificate",
     "apply_move",
-    "boundary_simplex",
     "build_ledger",
     "check_freeness",
     "corpus",
-    "cpn_pair",
     "cube_polytope",
     "dual_complex",
     "enumerate_moves",
     "euler_characteristic",
     "f_vector",
-    "has_face",
     "inverse_move",
-    "is_applicable",
     "is_boundary_of_simplex",
     "is_pseudomanifold",
-    "join",
-    "link",
     "named_polytope",
     "product",
     "psc_statement",

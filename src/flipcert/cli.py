@@ -51,8 +51,10 @@ class StartHashMismatch(FlipcertError):
 def _read_json(path):
     # ValueError: bad JSON, bad UTF-8 or huge ints; RecursionError: deep nesting
     try:
-        if path == "-":
-            return json.loads(sys.stdin.buffer.read().decode("utf-8"))
+        if path == "-":  # bytes when stdin has them, else its text
+            stdin = getattr(sys.stdin, "buffer", None)
+            return json.loads(sys.stdin.read() if stdin is None
+                              else stdin.read().decode("utf-8"))
         with open(path, "rb") as handle:
             return json.loads(handle.read().decode("utf-8"))
     except (ValueError, RecursionError) as exc:

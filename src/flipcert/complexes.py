@@ -13,6 +13,9 @@ The private ``Complex._derived`` only sorts and deduplicates facets cut out
 of a validated complex, kept by the search from one, or read off a checked
 ``SimplePolytope``; only ``link``, ``moves.apply_move``,
 ``moves.FaceTable.snapshot`` and ``polytopes.dual_complex`` may call it.
+
+``has_face`` and ``link``, with ``moves.is_applicable``, are the tests'
+reference judge, not exported: they stay here for the benchmark tracer's spans.
 """
 
 import itertools
@@ -40,14 +43,6 @@ class EmptyComplex(InputError):
 
 
 class NotAFace(InputError):
-    pass
-
-
-class VertexClash(InputError):
-    pass
-
-
-class EmptySimplex(InputError):
     pass
 
 
@@ -142,25 +137,6 @@ def link(k: Complex, s) -> Complex:
     if not residues:
         raise NotAFace(f"{s} is not a face of {k!r}")
     return Complex._derived(k.dim - len(s), residues)
-
-
-def join(k: Complex, l: Complex) -> Complex:
-    """Simplicial join: facet-wise unions of two complexes on disjoint vertex
-    sets.  ``{∅}`` is a two-sided identity."""
-    clash = k.support & l.support
-    if clash:
-        raise VertexClash(f"shared vertex ids {sorted(clash)}")
-    facets = [kf + lf for kf in k.facets for lf in l.facets]
-    return Complex(k.dim + l.dim + 1, facets)
-
-
-def boundary_simplex(t) -> Complex:
-    """The boundary complex of a single simplex: all its codimension-one
-    subsets.  The boundary of a vertex is ``{∅}``."""
-    t = as_simplex(t)
-    if len(t) == 0:
-        raise EmptySimplex("the empty simplex has no boundary complex")
-    return Complex(len(t) - 2, itertools.combinations(t, len(t) - 1))
 
 
 def f_vector(k: Complex) -> tuple:

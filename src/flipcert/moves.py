@@ -9,7 +9,8 @@ A move of type ``i`` on a complex of dimension ``n-1`` rewrites the star of a
 ``replay`` applies a sequence on vertex stars, judging each move in one
 ordered pass of set intersections, and counts no faces; ``apply_move`` is a
 one-move replay.  The checker, ``surgery``, takes the replay from here and
-never imports the search.  ``is_applicable`` is the tests' reference judge.
+never imports the search.  ``is_applicable``, not exported, is the tests'
+reference judge: it stays here for the benchmark tracer's spans.
 
 The search's only state is a ``FaceTable``, the one lister of faces here;
 it keeps the table from move to move and builds a ``Complex`` only on request.

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .complexes import is_int
 from .errors import FlipcertError, InputError
-from .polytopes import SimplePolytope, simplex_polytope
+from .polytopes import SimplePolytope
 
 
 class ShapeMismatch(InputError):
@@ -98,13 +98,6 @@ def check_freeness(pair: CharacteristicPair) -> FreenessReport:
         if det not in (1, -1):
             failing.append((index, det))
     return FreenessReport(ok=not failing, failing_vertices=tuple(failing))
-
-
-def cpn_pair(n: int) -> CharacteristicPair:
-    """The classical pair over the n-simplex whose kernel is the diagonal
-    circle: facet 0 maps to -(e1+...+en), facet i to e_i."""
-    rows = [[-1] + [1 if c == r else 0 for c in range(n)] for r in range(n)]
-    return CharacteristicPair(simplex_polytope(n), rows)
 
 
 def quotient_descriptor(pair: CharacteristicPair) -> dict:

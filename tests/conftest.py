@@ -25,6 +25,8 @@ from flipcert.surgery import (
     verify_certificate,
 )
 
+from reference import boundary_simplex
+
 
 def brute_faces(k):
     """Every nonempty face of a complex, by raw subset enumeration."""
@@ -142,7 +144,7 @@ def simplex_segment_reduction(d):
     dual = fc.dual_complex(
         fc.product(fc.simplex_polytope(d - 1), fc.simplex_polytope(1)))
     move = fc.Move((d,), tuple(range(d)), d - 1)
-    final = fc.boundary_simplex(tuple(range(d)) + (d + 1,))
+    final = boundary_simplex(tuple(range(d)) + (d + 1,))
     return dual, ReductionResult((move,), final, True, 0)
 
 

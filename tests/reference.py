@@ -1,17 +1,32 @@
 """Plain reference paths that the package no longer needs itself, kept for
-the tests that hold its fast paths to them, and the breadth-first
-flip-distance oracle, with its canonical form, that bounds the search.
+the tests that hold its fast paths to them, the builders that only the
+tests call, and the breadth-first flip-distance oracle, with its canonical
+form, that bounds the search.
 
 The input gates are kept here with every type test a call to ``is_int``:
 ``check_polytope`` (``SimplePolytope``), ``check_pair``
 (``CharacteristicPair``) and ``fits`` (the schema reader's kind test), each
-judging one element at a time."""
+judging one element at a time.
+
+The builders are ``join`` and ``boundary_simplex``, with the two errors
+only they raise, and ``cpn_pair``.  The reference judge of a single move,
+``is_applicable`` over ``link`` and ``has_face``, is not here: it stays in
+``flipcert.moves`` and ``flipcert.complexes``, unexported, because the
+benchmark's tracer wraps it there by module and name."""
 
 import itertools
 from typing import Optional
 
-from flipcert import apply_move, enumerate_moves, is_boundary_of_simplex
-from flipcert.complexes import is_int
+from flipcert import (
+    CharacteristicPair,
+    Complex,
+    apply_move,
+    enumerate_moves,
+    is_boundary_of_simplex,
+    simplex_polytope,
+)
+from flipcert.complexes import as_simplex, is_int
+from flipcert.errors import InputError
 from flipcert.polytopes import (
     BadDimension,
     DuplicateFacetName,
@@ -22,6 +37,40 @@ from flipcert.polytopes import (
     UnusedFacet,
 )
 from flipcert.quasitoric import ShapeMismatch
+
+
+class VertexClash(InputError):
+    pass
+
+
+class EmptySimplex(InputError):
+    pass
+
+
+def join(k, l):
+    """Simplicial join: facet-wise unions of two complexes on disjoint vertex
+    sets.  ``{∅}`` is a two-sided identity."""
+    clash = k.support & l.support
+    if clash:
+        raise VertexClash(f"shared vertex ids {sorted(clash)}")
+    facets = [kf + lf for kf in k.facets for lf in l.facets]
+    return Complex(k.dim + l.dim + 1, facets)
+
+
+def boundary_simplex(t):
+    """The boundary complex of a single simplex: all its codimension-one
+    subsets.  The boundary of a vertex is ``{∅}``."""
+    t = as_simplex(t)
+    if len(t) == 0:
+        raise EmptySimplex("the empty simplex has no boundary complex")
+    return Complex(len(t) - 2, itertools.combinations(t, len(t) - 1))
+
+
+def cpn_pair(n):
+    """The classical pair over the n-simplex whose kernel is the diagonal
+    circle: facet 0 maps to -(e1+...+en), facet i to e_i."""
+    rows = [[-1] + [1 if c == r else 0 for c in range(n)] for r in range(n)]
+    return CharacteristicPair(simplex_polytope(n), rows)
 
 
 def check_polytope(dim, facet_names, vertices):

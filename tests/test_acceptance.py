@@ -20,7 +20,7 @@ from flipcert.surgery import (
 from flipcert.errors import InputError
 
 from conftest import B5_FACETS, certificate_mutation_sites, walk_pairs
-from reference import flip_distance_oracle
+from reference import cpn_pair, flip_distance_oracle
 
 # Shortest strict reduction length of the octahedral sphere, established by
 # the breadth-first oracle before the annealing search existed; the oracle
@@ -164,7 +164,7 @@ def test_torus_accounting(corpus_certs):
 @criterion(8, "freeness: diagonal-circle pairs pass for n=1..8, zero column fails")
 def test_freeness():
     for n in range(1, 9):
-        pair = fc.cpn_pair(n)
+        pair = cpn_pair(n)
         report = fc.check_freeness(pair)
         assert report.ok
         for vertex in pair.polytope.vertices:

@@ -25,6 +25,7 @@ from conftest import (
     run_python,
     simplex_segment_reduction,
 )
+from reference import cpn_pair
 
 
 def run(capsys, argv):
@@ -221,7 +222,7 @@ def test_passing_checks_carry_no_detail(capsys, tmp_path, corpus_certs):
 
 
 def test_certify_with_lambda_and_statement(capsys, tmp_path):
-    pair = fc.cpn_pair(2)
+    pair = cpn_pair(2)
     ppath = write_json(tmp_path / "p.json", polytope_to_doc(pair.polytope))
     lpath = write_json(tmp_path / "l.json", lambda_to_doc(pair))
     spath = tmp_path / "statement.json"
@@ -245,7 +246,7 @@ def test_certify_with_non_free_lambda_exits_one(capsys, tmp_path):
 
 
 def test_check_freeness(capsys, tmp_path):
-    pair = fc.cpn_pair(3)
+    pair = cpn_pair(3)
     ppath = write_json(tmp_path / "p.json", polytope_to_doc(pair.polytope))
     lpath = write_json(tmp_path / "l.json", lambda_to_doc(pair))
     code, out, _ = run(capsys, ["check-freeness", ppath, "--lambda", lpath])
@@ -302,7 +303,7 @@ def test_certify_rejects_misshapen_lambda_before_searching(
     ppath = write_json(
         tmp_path / "cube.json", polytope_to_doc(fc.named_polytope("cube-3"))
     )
-    lpath = write_json(tmp_path / "l.json", lambda_to_doc(fc.cpn_pair(2)))
+    lpath = write_json(tmp_path / "l.json", lambda_to_doc(cpn_pair(2)))
     cert_path = tmp_path / "cert.json"
     code, out, err = run(capsys, [
         "certify", ppath, "--lambda", lpath, "--output", str(cert_path),
@@ -586,6 +587,17 @@ def test_a_file_and_stdin_give_one_decode_error_for_crlf_bytes(
         messages.append(diagnostic["message"].removeprefix(f"{source}: "))
     assert messages[0] == messages[1]
     assert messages[0].endswith("line 3 column 1 (char 36)")  # CRs counted
+
+
+def test_a_text_stdin_without_bytes_reads_as_the_file(
+        capsys, tmp_path, monkeypatch):
+    # an in-process caller may install a text stream with no ``buffer``
+    path = tmp_path / "p.json"
+    path.write_bytes(ACCENTED_BYTES)
+    code, from_path, _ = run(capsys, ["build-dual", str(path)])
+    assert code == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(ACCENTED_BYTES.decode("utf-8")))
+    assert run(capsys, ["build-dual", "-"]) == (0, from_path, "")
 
 
 def _verify_argv(tmp_path):

@@ -9,14 +9,20 @@ from flipcert.complexes import (
     BadVertexId,
     DimensionTooLow,
     DuplicateVertexInFacet,
-    EmptySimplex,
     NotAFace,
-    VertexClash,
     WrongFacetSize,
+    has_face,
+    link,
 )
 
 from conftest import brute_f_vector, brute_faces
-from reference import faces_of_dimension
+from reference import (
+    EmptySimplex,
+    VertexClash,
+    boundary_simplex,
+    faces_of_dimension,
+    join,
+)
 
 
 def test_new_complex_simplex_boundary():
@@ -55,63 +61,63 @@ def test_new_complex_names_the_smallest_negative_id():
 
 
 def test_has_face(delta3, b5):
-    assert fc.has_face(delta3, (0, 1))
-    assert not fc.has_face(delta3, (0, 1, 2, 3))
+    assert has_face(delta3, (0, 1))
+    assert not has_face(delta3, (0, 1, 2, 3))
     # scan of all six facets of the bipyramid: no facet contains {4,5}
     assert (4, 5) not in brute_faces(b5)
-    assert not fc.has_face(b5, (4, 5))
-    assert fc.has_face(b5, ())  # empty simplex is a face of anything
+    assert not has_face(b5, (4, 5))
+    assert has_face(b5, ())  # empty simplex is a face of anything
 
 
 def test_link_examples(delta3, b5):
-    assert fc.link(b5, (0, 1)).facets == ((4,), (5,))
-    assert fc.link(delta3, (0,)) == fc.Complex(1, [[1, 2], [1, 3], [2, 3]])
-    assert fc.link(b5, (4,)) == fc.Complex(1, [[0, 1], [0, 2], [1, 2]])
+    assert link(b5, (0, 1)).facets == ((4,), (5,))
+    assert link(delta3, (0,)) == fc.Complex(1, [[1, 2], [1, 3], [2, 3]])
+    assert link(b5, (4,)) == fc.Complex(1, [[0, 1], [0, 2], [1, 2]])
 
 
 def test_link_not_a_face(b5):
     with pytest.raises(NotAFace):
-        fc.link(b5, (4, 5))
+        link(b5, (4, 5))
 
 
 def test_link_of_facet_is_join_identity(delta3):
-    assert fc.link(delta3, (0, 1, 2)) == fc.Complex(-1, [()])
+    assert link(delta3, (0, 1, 2)) == fc.Complex(-1, [()])
 
 
 def test_join_builds_bipyramid(b5):
     triangle = fc.Complex(1, [[0, 1], [1, 2], [0, 2]])
     two_points = fc.Complex(0, [[4], [5]])
-    assert fc.join(triangle, two_points) == b5
+    assert join(triangle, two_points) == b5
 
 
 def test_join_identity(b5):
-    assert fc.join(b5, fc.Complex(-1, [()])) == b5
-    assert fc.join(fc.Complex(-1, [()]), b5) == b5
+    assert join(b5, fc.Complex(-1, [()])) == b5
+    assert join(fc.Complex(-1, [()]), b5) == b5
 
 
 def test_join_points():
-    edge = fc.join(fc.Complex(0, [[0]]), fc.Complex(0, [[1]]))
+    edge = join(fc.Complex(0, [[0]]), fc.Complex(0, [[1]]))
     assert edge.facets == ((0, 1),)
 
 
 def test_join_vertex_clash():
     with pytest.raises(VertexClash):
-        fc.join(fc.Complex(0, [[0]]), fc.Complex(0, [[0]]))
+        join(fc.Complex(0, [[0]]), fc.Complex(0, [[0]]))
 
 
 def test_join_associative(b5):
     a = fc.Complex(0, [[0], [1]])
     b = fc.Complex(0, [[2], [3]])
     c = fc.Complex(1, [[4, 5], [5, 6], [4, 6]])
-    assert fc.join(fc.join(a, b), c) == fc.join(a, fc.join(b, c))
+    assert join(join(a, b), c) == join(a, join(b, c))
 
 
 def test_boundary_simplex():
-    assert fc.boundary_simplex((4, 5)).facets == ((4,), (5,))
-    assert fc.boundary_simplex((7,)) == fc.Complex(-1, [()])
-    assert len(fc.boundary_simplex((0, 1, 2)).facets) == 3
+    assert boundary_simplex((4, 5)).facets == ((4,), (5,))
+    assert boundary_simplex((7,)) == fc.Complex(-1, [()])
+    assert len(boundary_simplex((0, 1, 2)).facets) == 3
     with pytest.raises(EmptySimplex):
-        fc.boundary_simplex(())
+        boundary_simplex(())
 
 
 def test_f_vector(delta3, b5, octahedron):
@@ -130,7 +136,7 @@ def test_f_vector_join_convolution(b5):
          fc.Complex(1, [[5, 6], [6, 7], [5, 7]])),
     ]
     for k, l in cases:
-        joined = fc.join(k, l)
+        joined = join(k, l)
         fk = (1,) + fc.f_vector(k)
         fl = (1,) + fc.f_vector(l)
         fj = (1,) + fc.f_vector(joined)
@@ -174,7 +180,7 @@ def test_is_boundary_of_simplex(delta3, b5, octahedron):
 def test_links_are_pure_of_expected_dimension(b5, octahedron, icosahedron):
     for k in (b5, octahedron, icosahedron):
         for face in sorted(brute_faces(k)):
-            lk = fc.link(k, face)
+            lk = link(k, face)
             assert lk.dim == k.dim - len(face)
             for facet in lk.facets:
                 assert len(facet) == lk.dim + 1
@@ -186,7 +192,7 @@ def test_has_face_matches_enumeration(b5, octahedron):
         enumerated = brute_faces(k)
         for size in range(1, k.dim + 3):
             for cand in itertools.combinations(universe, size):
-                assert fc.has_face(k, cand) == (cand in enumerated)
+                assert has_face(k, cand) == (cand in enumerated)
 
 
 def test_faces_of_dimension(b5):
@@ -207,7 +213,7 @@ def value_samples():
     dual = fc.dual_complex(fc.named_polytope("cube-3"))
     return {
         "complex": fc.Complex(2, itertools.combinations(range(4), 3)),
-        "link": fc.link(dual.complex, dual.complex.facets[0][:1]),
+        "link": link(dual.complex, dual.complex.facets[0][:1]),
         "reduction": fc.reduce_to_simplex(dual.complex),
         "dual": dual,
     }
@@ -222,3 +228,21 @@ def test_values_copy_and_pickle(kind):
         pickle.loads(pickle.dumps(value)),
     ):
         assert twin == value and hash(twin) == hash(value)
+
+
+def test_the_package_exports_only_what_the_tool_runs():
+    # the builders only the tests call live in tests/reference.py; the
+    # reference judge stays in its modules, for the benchmark tracer's
+    # spans, but leaves the package namespace
+    from flipcert import complexes, quasitoric
+
+    for name in ("join", "boundary_simplex", "cpn_pair",
+                 "is_applicable", "link", "has_face"):
+        assert name not in fc.__all__
+        assert not hasattr(fc, name), name
+    for module, names in ((complexes, ("join", "boundary_simplex",
+                                       "VertexClash", "EmptySimplex")),
+                          (quasitoric, ("cpn_pair",))):
+        for name in names:
+            assert not hasattr(module, name), name
+    assert set(fc.__all__) <= set(vars(fc))

@@ -1,4 +1,5 @@
-"""Smoke test: every script in ``demos/`` runs to completion."""
+"""Smoke test: every script in ``demos/`` runs to completion, with every
+warning, a deprecation among them, made an error."""
 
 import subprocess
 import sys
@@ -20,7 +21,7 @@ def test_demo_runs(demo):
     # the child imports the same flipcert package this test imported
     package_root = str(Path(fc.__file__).resolve().parent.parent)
     proc = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-W", "error", str(demo)],
         capture_output=True, text=True, timeout=120,
         env={"PYTHONHASHSEED": "0", "PATH": "/usr/bin:/bin",
              "PYTHONPATH": package_root},

@@ -69,7 +69,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import flipcert as fc
-from flipcert.complexes import BadVertexId, NotAFace, as_simplex
+from flipcert.complexes import BadVertexId, NotAFace, as_simplex, link
 from flipcert.errors import FlipcertError
 from flipcert.moves import (
     FaceTable,
@@ -78,6 +78,7 @@ from flipcert.moves import (
     StaleTau,
     TauNotFresh,
     f_vector_change,
+    is_applicable,
     join_boundary,
 )
 from flipcert.polytopes import (
@@ -114,7 +115,7 @@ def reference_moves(k, allowed_types):
     out = []
     for i in sorted(set(allowed_types)):
         for sigma in faces_of_dimension(k, k.dim - i):
-            m = fc.is_applicable(k, sigma)
+            m = is_applicable(k, sigma)
             if m is not None:
                 out.append(m)
     return out
@@ -127,7 +128,7 @@ def reference_apply_move(k, m):
     ``Complex(...)``."""
     sigma, tau = as_simplex(m.sigma), as_simplex(m.tau)
     try:
-        detected = fc.is_applicable(k, sigma)
+        detected = is_applicable(k, sigma)
     except NotAFace:
         raise NotApplicable(f"sigma {sigma} is not a face")
     i = k.dim - (len(sigma) - 1)
@@ -447,7 +448,7 @@ def test_link_matches_validating_build(state):
     faces = [()] + [s for d in range(k.dim + 1) for s in faces_of_dimension(k, d)]
     for s in faces:
         residues = [set(f) - set(s) for f in k.facets if set(s) <= set(f)]
-        assert_same_complex(fc.link(k, s), fc.Complex(k.dim - len(s), residues))
+        assert_same_complex(link(k, s), fc.Complex(k.dim - len(s), residues))
 
 
 def assert_dual_matches_validating_build(p):
@@ -758,7 +759,7 @@ def drawn_move(rng, k, types):
     for i in rng.sample(types, len(types)):
         faces = faces_of_dimension(k, k.dim - i)
         for sigma in rng.sample(faces, min(len(faces), 40)):
-            move = fc.is_applicable(k, sigma)
+            move = is_applicable(k, sigma)
             if move is not None:
                 return move
     return None
@@ -812,7 +813,7 @@ def test_f_vector_change_matches_recount_for_every_type(dim):
             k = fc.dual_complex(fc.product(
                 fc.simplex_polytope(i), fc.simplex_polytope(dim + 1 - i))).complex
             sigma = tuple(range(i + 2, dim + 3))
-        move = fc.is_applicable(k, sigma)
+        move = is_applicable(k, sigma)
         assert move.move_type == i
         before, after = fc.f_vector(k), fc.f_vector(reference_apply_move(k, move))
         change = tuple(b - a for a, b in zip(before, after))

@@ -2,16 +2,24 @@ import pytest
 
 import flipcert as fc
 from flipcert.complexes import BadVertexId
-from flipcert.moves import Move, NotApplicable, StaleTau, TauNotFresh, fresh_vertex
+from flipcert.moves import (
+    Move,
+    NotApplicable,
+    StaleTau,
+    TauNotFresh,
+    fresh_vertex,
+    is_applicable,
+)
 
 from conftest import walk_pairs
 
 
 def test_is_applicable(delta3, b5):
-    assert fc.is_applicable(b5, (0, 1)) == Move((0, 1), (4, 5), 1)
-    assert fc.is_applicable(b5, (4,)) == Move((4,), (0, 1, 2), 2)
+    assert is_applicable(b5, (0, 1)) == Move((0, 1), (4, 5), 1)
+    assert is_applicable(b5, (4,)) == Move((4,), (0, 1, 2), 2)
+    assert repr(Move((4,), (0, 1, 2), 2)) == "Move(type=2, sigma=(4,), tau=(0, 1, 2))"
     # the candidate tau {1,2,3} is already a face of the simplex boundary
-    assert fc.is_applicable(delta3, (0,)) is None
+    assert is_applicable(delta3, (0,)) is None
 
 
 def test_apply_vertex_add(delta3):
@@ -53,7 +61,7 @@ def test_apply_errors(b5):
 def test_a_bad_id_beside_int_ids_is_refused_by_name(b5, bad):
     text = f"vertex id {bad!r} is not a non-negative integer"
     with pytest.raises(BadVertexId) as info:
-        fc.is_applicable(b5, (0, bad))
+        is_applicable(b5, (0, bad))
     assert str(info.value) == text
     for move in (Move((0, bad), (4, 5), 1), Move((0, 1), (4, bad), 1)):
         with pytest.raises(BadVertexId) as info:
@@ -63,7 +71,7 @@ def test_a_bad_id_beside_int_ids_is_refused_by_name(b5, bad):
 
 def test_empty_face_carries_no_move(delta3):
     # its link is the whole complex, which may look like a simplex boundary
-    assert fc.is_applicable(delta3, ()) is None
+    assert is_applicable(delta3, ()) is None
     with pytest.raises(NotApplicable):
         fc.apply_move(delta3, Move((), (0, 1, 2, 3), 3))
     with pytest.raises(NotApplicable):

@@ -18,7 +18,7 @@ from flipcert.polytopes import (
 from flipcert.serialize import polytope_from_doc
 
 from conftest import B5_FACETS
-from reference import canonical_form
+from reference import canonical_form, join
 
 
 def test_parse_simplex_document():
@@ -178,6 +178,8 @@ def test_simplex_polytope():
     assert fc.simplex_polytope(3).facet_count == 4
     with pytest.raises(BadDimension):
         fc.simplex_polytope(0)
+    with pytest.raises(BadDimension, match=r"^cube dimension must be >= 1, got 0$"):
+        fc.cube_polytope(0)
 
 
 def test_products():
@@ -200,7 +202,7 @@ def test_dual_of_product_is_join_of_duals():
         shifted = fc.Complex(
             dq.dim, [tuple(v + shift for v in f) for f in dq.facets]
         )
-        assert fc.dual_complex(fc.product(p, q)).complex == fc.join(dp, shifted)
+        assert fc.dual_complex(fc.product(p, q)).complex == join(dp, shifted)
 
 
 def test_named_corpus():

@@ -32,6 +32,7 @@ from flipcert.surgery import (
 )
 
 from conftest import B5_FACETS, run_python
+from reference import cpn_pair
 
 
 B5_CANONICAL = '{"dim":2,"facets":[[0,1,4],[0,1,5],[0,2,4],[0,2,5],[1,2,4],[1,2,5]]}'
@@ -161,7 +162,7 @@ def test_polytope_round_trip():
 
 
 def test_lambda_round_trip():
-    pair = fc.cpn_pair(3)
+    pair = cpn_pair(3)
     doc = lambda_to_doc(pair)
     assert doc["rows"] == 3 and doc["cols"] == 4
     assert lambda_from_doc(doc, pair.polytope) == pair
@@ -169,14 +170,14 @@ def test_lambda_round_trip():
         lambda_from_doc({"rows": 2, "cols": 3, "entries": [[1, 0, 0]]},
                         pair.polytope)
     with pytest.raises(ShapeMismatch):  # well formed, but not 3 x 4
-        lambda_from_doc(lambda_to_doc(fc.cpn_pair(2)), pair.polytope)
+        lambda_from_doc(lambda_to_doc(cpn_pair(2)), pair.polytope)
 
 
 @pytest.fixture(scope="module")
 def schema_bases(corpus_certs):
     """(valid document, parser, expected error) for each untrusted kind."""
     b5 = fc.Complex(2, B5_FACETS)
-    pair = fc.cpn_pair(2)
+    pair = cpn_pair(2)
     return {
         "complex": (complex_to_doc(b5), complex_from_doc, MalformedDocument),
         "move": (move_to_doc(Move((0, 1), (4, 5), 1)), move_from_doc,

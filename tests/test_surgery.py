@@ -28,6 +28,7 @@ from conftest import (
     checker_outcomes,
     count_calls,
 )
+from reference import cpn_pair
 
 
 def test_simplex_certificates_are_trivial_chains(corpus_certs):
@@ -317,7 +318,7 @@ def test_the_checker_counts_no_faces(monkeypatch, corpus_certs, b5):
 
 def test_psc_statement_for_simplex_names_projective_quotient(corpus_certs):
     _, _, cert = corpus_certs["simplex-2"]
-    statement = psc_statement(cert, fc.cpn_pair(2))
+    statement = psc_statement(cert, cpn_pair(2))
     assert statement.moment_angle_dim == 5
     assert statement.quotient["manifold_dim"] == 4
     assert "complex-projective" in statement.quotient["description"]
@@ -348,7 +349,7 @@ def test_psc_statement_requires_freeness(corpus_certs):
     with pytest.raises(NotFree):
         psc_statement(cert, singular)
     with pytest.raises(ShapeMismatch):
-        psc_statement(cert, fc.cpn_pair(3))
+        psc_statement(cert, cpn_pair(3))
 
 
 def test_base_stage_dimension_identity(corpus_certs):
