@@ -50,6 +50,10 @@ class DimensionTooLow(InputError):
     pass
 
 
+class BadDimension(InputError):
+    pass
+
+
 def is_int(v) -> bool:
     """The one integer rule of every gate: an int that is not a bool."""
     return type(v) is int or (isinstance(v, int) and not isinstance(v, bool))
@@ -84,6 +88,8 @@ class Complex:
     support: frozenset = field(compare=False)
 
     def __init__(self, dim: int, facets):
+        if not is_int(dim):
+            raise BadDimension(f"complex dimension must be an int, got {dim!r}")
         cleaned = sorted({as_simplex(f) for f in facets})
         if not cleaned:
             raise EmptyComplex("a complex needs at least one facet")

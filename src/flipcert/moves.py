@@ -31,6 +31,7 @@ from .complexes import (
     as_simplex,
     has_face,
     is_boundary_of_simplex,
+    is_int,
     link,
 )
 from .errors import FlipcertError, InputError
@@ -244,7 +245,7 @@ def _apply(star, dim: int, move):
     rest = set().union(*held).difference(sigma)
     if s and not held:
         raise NotApplicable(f"sigma {sigma} is not a face")
-    if move.move_type != i:
+    if not is_int(move.move_type) or move.move_type != i:
         raise NotApplicable(
             f"declared type {move.move_type} but sigma {sigma} has type {i}")
     if not s or i and (len(held) != i + 1 or len(rest) != i + 1

@@ -10,7 +10,7 @@ import itertools
 import re
 from dataclasses import dataclass, replace
 
-from .complexes import Complex, is_int
+from .complexes import BadDimension, Complex, is_int
 from .errors import InputError
 
 
@@ -34,10 +34,6 @@ class UnusedFacet(InputError):
     pass
 
 
-class BadDimension(InputError):
-    pass
-
-
 class NoVertices(InputError):
     pass
 
@@ -48,8 +44,8 @@ class UnknownName(InputError):
 
 @dataclass(frozen=True)
 class SimplePolytope:
-    """Simple polytope: a tuple of distinct facet names and a nonempty tuple
-    of distinct vertices, each stored, however built, as the frozenset of
+    """Simple polytope: a tuple of distinct ``str`` facet names and a nonempty
+    tuple of distinct vertices, each stored, however built, as the frozenset of
     ``dim`` facet indices it was checked as; together they use every index.
     An exact ``int`` index passes its type test inline; any other goes to ``is_int``."""
 
@@ -64,6 +60,9 @@ class SimplePolytope:
             raise BadDimension(f"polytope dimension must be an int, got {n!r}")
         if n < 1:
             raise BadDimension(f"polytope dimension must be >= 1, got {n}")
+        for name in names:
+            if not isinstance(name, str):
+                raise InputError(f"facet name {name!r} is not a string")
         if len(set(names)) != m:
             raise DuplicateFacetName("facet names must be distinct")
         used, seen = set(), set()

@@ -82,6 +82,9 @@ def check_polytope(dim, facet_names, vertices):
         raise BadDimension(f"polytope dimension must be an int, got {n!r}")
     if n < 1:
         raise BadDimension(f"polytope dimension must be >= 1, got {n}")
+    for name in names:
+        if not isinstance(name, str):
+            raise InputError(f"facet name {name!r} is not a string")
     if len(set(names)) != m:
         raise DuplicateFacetName("facet names must be distinct")
     used, seen = set(), set()

@@ -33,9 +33,10 @@ reference path it replaces.
   closed-form f-vector change (``moves.f_vector_change``) against
   ``f_vector`` before and after one move of every type in dimensions 1-8;
 - ``apply_move``, one replay step on the vertex stars, against
-  ``reference_apply_move`` on those walks, on each corruption of ``b5``,
-  on ``{∅}``, on moves with two faults at once, which fix the order of
-  the checks, and on arbitrary moves drawn from a walk state's support and
+  ``reference_apply_move`` on those walks, on each corruption of ``b5``
+  (two of them a declared type equal to ``sigma``'s but no int), on
+  ``{∅}``, on moves with two faults at once, which fix the order of the
+  checks, and on arbitrary moves drawn from a walk state's support and
   one fresh id, of any declared type in -1..dim+2: the same complex, or
   the same error type and text, from ``apply_move`` and the replay alike;
 - ``serialize.fields``, with its one-pass list check, against the
@@ -46,8 +47,8 @@ reference path it replaces.
   ``CharacteristicPair``, which pass an exact ``int`` without calling
   ``is_int``, against their loops with every index judged by ``is_int``
   (``tests/reference.py``), on relabelled truncations, each mostly with
-  one fault put in, the polytope's dimension among them: the same stored
-  value, or the same error type and text.
+  one fault put in, the polytope's dimension and a facet name among them:
+  the same stored value, or the same error type and text.
 
 States come from random walks, in dimensions 1-5 and in both search modes,
 driven by the reference enumeration so the walk never trusts the code it
@@ -69,7 +70,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import flipcert as fc
-from flipcert.complexes import BadVertexId, NotAFace, as_simplex, link
+from flipcert.complexes import BadVertexId, NotAFace, as_simplex, is_int, link
 from flipcert.errors import FlipcertError
 from flipcert.moves import (
     FaceTable,
@@ -132,7 +133,7 @@ def reference_apply_move(k, m):
     except NotAFace:
         raise NotApplicable(f"sigma {sigma} is not a face")
     i = k.dim - (len(sigma) - 1)
-    if m.move_type != i:
+    if not is_int(m.move_type) or m.move_type != i:
         raise NotApplicable(
             f"declared type {m.move_type} but sigma {sigma} has type {i}")
     if detected is None:
@@ -864,6 +865,8 @@ def test_the_replay_enumerates_no_subsets(monkeypatch):
     ("b5", fc.Move((4, 6), (0, 1), 1)),  # sigma holds an id of no star
     ("b5", fc.Move((4,), (0, 1, 2), 3)),  # declared type above dim
     ("b5", fc.Move((0, 1, 4), (0,), 0)),  # type-0 tau a vertex of sigma
+    ("b5", fc.Move((0, 1), (4, 5), True)),  # declared type equal, but no int
+    ("b5", fc.Move((4,), (0, 1, 2), 2.0)),
 ])
 def test_apply_move_matches_reference_on_each_corruption(b5, name, move):
     k = b5 if name == "b5" else EMPTY
@@ -1043,18 +1046,22 @@ def faulty(draw, value, m):
 def polytope_args(draw):
     """(dim, facet names, vertices) of a relabelled truncation, the vertices
     as lists, tuples or frozensets, mostly with one fault put in: the
-    dimension, an index, a vertex repeated, short, long or with an index
-    listed twice, a facet no vertex uses, or no vertices at all."""
+    dimension, a facet name, an index, a vertex repeated, short, long or
+    with an index listed twice, a facet no vertex uses, or no vertices at
+    all."""
     p = draw(relabelled_truncations())
     dim, names, m = p.dim, list(p.facet_names), p.facet_count
     shape = draw(st.sampled_from((list, tuple, frozenset)))
     vertices = [sorted(v) for v in p.vertices]
     i = draw(st.integers(0, len(vertices) - 1))
     v = vertices[i]
-    fault = draw(st.sampled_from((None, "dim", "index", "repeated vertex", "short",
-                                  "long", "repeated index", "unused", "empty")))
+    fault = draw(st.sampled_from((None, "dim", "name", "index", "repeated vertex",
+                                  "short", "long", "repeated index", "unused",
+                                  "empty")))
     if fault == "dim":
         dim = faulty(draw, dim, m)
+    elif fault == "name":
+        names[draw(st.integers(0, m - 1))] = draw(st.sampled_from((0, None, ["a"])))
     elif fault == "index":
         j = draw(st.integers(0, len(v) - 1))
         v[j] = faulty(draw, v[j], m)

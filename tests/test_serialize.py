@@ -6,7 +6,11 @@ import sys
 import pytest
 
 import flipcert as fc
-from flipcert.moves import Move
+from flipcert.complexes import BadDimension
+from flipcert.errors import InputError
+from flipcert.moves import Move, NotApplicable, ReplayFailure
+from flipcert.polytopes import SimplePolytope
+from flipcert.reduction import ReductionResult
 from flipcert.serialize import (
     MalformedDocument,
     canonical_json,
@@ -14,6 +18,7 @@ from flipcert.serialize import (
     complex_from_doc,
     complex_to_doc,
     digest,
+    dump,
     lambda_from_doc,
     lambda_to_doc,
     move_from_doc,
@@ -29,6 +34,7 @@ from flipcert.surgery import (
     build_ledger,
     certificate_from_doc,
     certificate_to_doc,
+    verify_certificate,
 )
 
 from conftest import B5_FACETS, run_python
@@ -292,3 +298,77 @@ def test_certificate_keys_are_checked_before_nested_records(corpus_certs):
     with pytest.raises(MalformedCertificate) as info:
         certificate_from_doc(doc)
     assert str(info.value) == "certificate: missing key 'verified'"
+
+
+CUBE_3 = fc.named_polytope("cube-3")
+
+#: The three gate holes, each a value of the wrong type that its gate once
+#: let through, and the refusal it meets: ``Complex``'s dimension, the
+#: replay's declared type (``apply_move``'s too) and ``SimplePolytope``'s
+#: facet names.  Let through, each gave a document its own codec refuses.
+GATE_HOLES = [
+    ("complex dimension 1.0", lambda: fc.Complex(1.0, [(0, 1)]), BadDimension,
+     "complex dimension must be an int, got 1.0"),
+    ("complex dimension True", lambda: fc.Complex(True, [(0, 1)]), BadDimension,
+     "complex dimension must be an int, got True"),
+    ("complex dimension '1'", lambda: fc.Complex("1", [(0, 1)]), BadDimension,
+     "complex dimension must be an int, got '1'"),
+    ("replay, declared type True",
+     lambda: fc.replay(fc.Complex(2, B5_FACETS), [Move((0, 1), (4, 5), True)]),
+     ReplayFailure,
+     "move 0 failed: NotApplicable: declared type True but sigma (0, 1) has type 1"),
+    ("replay, declared type 2.0",
+     lambda: fc.replay(fc.Complex(2, B5_FACETS), [Move((4,), (0, 1, 2), 2.0)]),
+     ReplayFailure,
+     "move 0 failed: NotApplicable: declared type 2.0 but sigma (4,) has type 2"),
+    ("apply_move, declared type 1.0",
+     lambda: fc.apply_move(fc.Complex(2, B5_FACETS), Move((0, 1), (4, 5), 1.0)),
+     NotApplicable, "declared type 1.0 but sigma (0, 1) has type 1"),
+    ("facet names 0..5", lambda: SimplePolytope(3, range(6), CUBE_3.vertices), InputError,
+     "facet name 0 is not a string"),
+    ("a list facet name",
+     lambda: SimplePolytope(1, [["a"], "b"], [[0], [1]]), InputError,
+     "facet name ['a'] is not a string"),
+]
+
+
+@pytest.mark.parametrize("label, build, error, text", GATE_HOLES,
+                         ids=[row[0] for row in GATE_HOLES])
+def test_each_gate_judges_the_type_of_what_it_keeps(label, build, error, text):
+    with pytest.raises(error) as caught:
+        build()
+    assert type(caught.value) is error and str(caught.value) == text
+
+
+def prism_typed_2_0():
+    """The prism's reduction, its one move declared as type ``2.0``."""
+    dual = fc.dual_complex(fc.named_polytope("prism"))
+    result = fc.reduce_to_simplex(dual.complex, fc.ReductionOptions())
+    (move,) = result.moves
+    typed = Move(move.sigma, move.tau, 2.0)
+    return dual, ReductionResult((typed,), result.final, True, 1)
+
+
+def cube_numbered():
+    """cube-3's reduction, its facets named by ints."""
+    dual = fc.dual_complex(SimplePolytope(3, range(6), CUBE_3.vertices))
+    return dual, fc.reduce_to_simplex(dual.complex, fc.ReductionOptions())
+
+
+def established(build):
+    """The certificate of ``build()``'s dual and reduction, if every gate
+    lets them through and it verifies, else None."""
+    try:
+        cert = build_ledger(*build())
+    except InputError:
+        return None
+    return cert if verify_certificate(cert).established else None
+
+
+def test_every_established_certificate_decodes_from_its_json(corpus_certs):
+    # a gate hole let a certificate establish that its own JSON refused
+    certs = [established(lambda: entry[:2]) for entry in corpus_certs.values()]
+    assert all(certs)
+    certs += filter(None, map(established, (prism_typed_2_0, cube_numbered)))
+    for cert in certs:
+        assert certificate_from_doc(json.loads(dump(certificate_to_doc(cert)))) == cert

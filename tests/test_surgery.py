@@ -165,6 +165,26 @@ def test_deleted_move_breaks_replay(corpus_certs):
     assert names["reduction-replay"] == "replay endpoint is not boundary of simplex"
 
 
+def test_a_chain_cut_short_fails_only_where_it_is_refuted(corpus_certs):
+    # the last reduction move removes a vertex, so without it and the step
+    # that undoes it the replay ends one vertex short of the simplex
+    # boundary; the steps still mirror the moves, and the stage records
+    # what they hold
+    _, _, cert = corpus_certs["cube-3"]
+    doc = certificate_to_doc(cert)
+    assert doc["reduction_moves"].pop()["type"] == 2
+    assert doc["steps"].pop(0)["construction_type"] == 0
+    for index, step in enumerate(doc["steps"]):
+        step["index"] = index
+    doc["base_stage"]["extra_circles"] = sum(
+        step["construction_type"] == 0 for step in doc["steps"])
+    doc["min_codimension"] = min(step["codimension"] for step in doc["steps"])
+    report = verify_certificate(certificate_from_doc(doc))
+    assert [c.name for c in report.failures()] == [
+        "reduction-replay", "construction-replay", "verified-flag"]
+    assert report.failures()[0].detail == "replay endpoint is not boundary of simplex"
+
+
 def test_free_mode_zero_move_yields_unverified_certificate(delta3):
     # a detour through a vertex addition and straight back still reduces, but
     # the construction chain then contains a codimension-2 surgery
