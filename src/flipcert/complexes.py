@@ -12,7 +12,8 @@ not be contiguous: moves delete and create vertices; relabeling breaks replay.
 The private ``Complex._derived`` only sorts and deduplicates facets cut out
 of a validated complex, kept by the search from one, or read off a checked
 ``SimplePolytope``; only ``link``, ``moves.apply_move``,
-``moves.FaceTable.snapshot`` and ``polytopes.dual_complex`` may call it.
+``moves.FaceTable.snapshot``, ``reduction._star_sweep`` and
+``polytopes.dual_complex`` may call it.
 
 ``has_face`` and ``link``, with ``moves.is_applicable``, are the tests'
 reference judge, not exported: they stay here for the benchmark tracer's spans.

@@ -12,7 +12,7 @@ one-move replay.  The checker, ``surgery``, takes the replay from here and
 never imports the search.  ``is_applicable``, not exported, is the tests'
 reference judge: it stays here for the benchmark tracer's spans.
 
-The search's only state is a ``FaceTable``, the one lister of faces here;
+A restart's only state is a ``FaceTable``, the one lister of faces here;
 it keeps the table from move to move and builds a ``Complex`` only on request.
 The search and the checker share the closed form of the f-vector change,
 never a move test: a fault in the search's table can only lose a

@@ -54,7 +54,12 @@ class SimplePolytope:
     vertices: tuple  # tuple of frozensets of facet indices
 
     def __post_init__(self):
-        names, vertices = tuple(self.facet_names), tuple(map(frozenset, self.vertices))
+        names, vertices, v = tuple(self.facet_names), [], self.vertices
+        try:
+            for v in self.vertices:
+                vertices.append(frozenset(v))
+        except TypeError:  # v, a vertex or the vertex list, is no set of hashables
+            raise UnknownFacetIndex(f"{v!r} is not a set of facet indices") from None
         n, m = self.dim, len(names)
         if not is_int(n):
             raise BadDimension(f"polytope dimension must be an int, got {n!r}")
@@ -85,7 +90,7 @@ class SimplePolytope:
         if not vertices:
             raise NoVertices("a polytope needs at least one vertex")
         object.__setattr__(self, "facet_names", names)
-        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "vertices", tuple(vertices))
 
     @property
     def facet_count(self) -> int:

@@ -6,22 +6,23 @@ a greedy vertex-removal sweep interleaved with simulated annealing on the
 lexicographic cost (vertex count, then face counts from the top dimension
 down); failure after the step budget is a first-class result, never a
 fabricated certificate.  The sweep owns vertex removal (type ``dim``) and
-runs from the input once; each restart starts where it ends, keeps one
-``moves.FaceTable`` and its f-vector, stepped in closed form, and builds a
-``Complex`` only when its best state improves.  Annealing runs only on
-states a sweep leaves without a type-``dim`` move, so it draws the lower
-types alone.  A sweep that ends at a simplex boundary is the reduction:
-moves are PL homeomorphisms, so reaching one proves the input a PL sphere.
-Only a sweep that falls short meets the sphere gates, in this order:
-dimension >= 0, a 0-sphere is two points, the input is a pseudomanifold,
-then the Euler characteristic of the one face count, taken on the swept
-state.  ``replay`` is ``moves.replay``, bound here too for ``cli apply``,
-``flipcert.replay`` and the benchmark tracer.  The breadth-first
-flip-distance oracle the tests hold the search to is in
-``tests/reference.py``.
+runs from the input once, on vertex stars; each restart starts where it
+ends, keeps one ``moves.FaceTable`` and its f-vector, stepped in closed
+form, and builds a ``Complex`` only when its best state improves.
+Annealing runs only on states a sweep leaves without a type-``dim`` move,
+so it draws the lower types alone.  A sweep that ends at a simplex boundary
+is the reduction: moves are PL homeomorphisms, so reaching one proves the
+input a PL sphere.  Only a sweep that falls short meets the sphere gates,
+in this order: dimension >= 0, a 0-sphere is two points, a pseudomanifold,
+then the Euler characteristic of the one face count, the last two read off
+the swept state, a pseudomanifold iff the input is.  ``replay`` is
+``moves.replay``, bound here too for ``cli apply``, ``flipcert.replay`` and
+the benchmark tracer.  The breadth-first flip-distance oracle the tests
+hold the search to is in ``tests/reference.py``.
 """
 
 import functools
+import heapq
 import math
 import operator
 import random
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from .complexes import (
     Complex, f_vector, is_boundary_of_simplex, is_int, is_pseudomanifold)
 from .errors import FlipcertError, InputError
-from .moves import FaceTable, enumerate_moves, f_vector_change, replay
+from .moves import FaceTable, Move, enumerate_moves, f_vector_change, replay
 
 
 class BadInput(InputError):
@@ -94,6 +95,46 @@ def _greedy_vertex_removals(table) -> list:
     return removed
 
 
+def _star_sweep(k: Complex):
+    """The moves ``_greedy_vertex_removals`` makes from ``k``, made on vertex
+    stars with no ``FaceTable``, and the swept ``Complex``.  ``v`` is
+    removable when its star has ``dim + 1`` facets whose other vertices,
+    ``tau``, number ``dim + 1`` and are no facet.  A heap holds every vertex,
+    judged again when popped; a removal pushes ``tau``'s vertices, the only
+    ones it can make removable.
+
+    The swept state is a pseudomanifold iff ``k`` is.  Each ridge ``tau - w``
+    keeps its facet count, ``tau`` taking the place of ``v ∪ (tau - w)``;
+    the ridges through ``v``, in two star facets each, go.  The star facets,
+    pairwise adjacent, become ``tau``, adjacent to the same outer facets, so
+    the components stay."""
+    dim, facets, star = k.dim, set(k.facets), {}
+    for facet in facets:
+        for v in facet:
+            star.setdefault(v, set()).add(facet)
+
+    def removal(v):  # v's tau, or None
+        held = star.get(v, ())
+        rest = set().union(*held).difference((v,)) if len(held) == dim + 1 else ()
+        tau = tuple(sorted(rest)) if len(rest) == dim + 1 else None
+        return None if tau in facets else tau
+
+    heap, removed = sorted(star), []  # a sorted list is a heap
+    while heap:
+        v = heapq.heappop(heap)
+        tau = removal(v)
+        if tau is not None:
+            removed.append(Move((v,), tau, dim))
+            held = star.pop(v)
+            facets -= held
+            facets.add(tau)
+            for w in tau:
+                star[w] -= held
+                star[w].add(tau)
+                heapq.heappush(heap, w)
+    return removed, Complex._derived(dim, facets)
+
+
 def _single_search(k, sweep, f, allowed, max_steps, rng):
     """One restart from ``k``, where ``sweep`` left the input, with f-vector
     ``f``; returns the steps examined (every move applied, the sweep's too,
@@ -147,16 +188,14 @@ def reduce_to_simplex(k: Complex, opts=ReductionOptions()) -> ReductionResult:
     counts = (opts.max_steps, opts.restarts, opts.rng_seed)
     if not all(map(is_int, counts)) or opts.max_steps < 0 or opts.restarts < 1:
         raise BadInput("invalid search options")
-    table = FaceTable(k)
-    sweep = _greedy_vertex_removals(table)
-    swept = table.snapshot()
+    sweep, swept = _star_sweep(k)
     if is_boundary_of_simplex(swept):
         return ReductionResult(tuple(sweep), swept, True, len(sweep))
     if k.dim < 0:
         raise BadInput("a sphere needs dimension >= 0")
     if k.dim == 0:  # nothing sweeps it, and two points were returned above
         raise BadInput("a 0-dimensional sphere must be exactly two points")
-    if not is_pseudomanifold(k):
+    if not is_pseudomanifold(swept):  # the same verdict: see _star_sweep
         raise BadInput("input is not a pseudomanifold")
     f = f_vector(swept)  # the one count; moves keep the Euler characteristic
     chi = sum((-1) ** d * fd for d, fd in enumerate(f))

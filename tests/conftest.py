@@ -106,6 +106,20 @@ CORRUPTIONS = [
 #: ``{∅}``: its one face, the empty one, carries no move.
 EMPTY = fc.Complex(-1, [()])
 
+#: The octahedron (cube-3's dual) with vertex 6 stacked on facet (0, 2, 4):
+#: the sweep removes 6 and ends at the octahedron.
+STACKED_OCTAHEDRON = [
+    [a, b, c] for a in (0, 1) for b in (2, 3) for c in (4, 5) if (a, b, c) != (0, 2, 4)
+] + [[0, 2, 6], [0, 4, 6], [2, 4, 6]]
+
+#: Inputs the sweep shrinks that are no pseudomanifolds: a facet hung on the
+#: ridge (1, 3), away from vertex 6, and two disjoint copies.
+SHRINKABLE_NON_PSEUDOMANIFOLDS = {
+    "stacked-octahedron-with-a-fin": STACKED_OCTAHEDRON + [[1, 3, 7]],
+    "two-disjoint-stacked-octahedra": STACKED_OCTAHEDRON + [
+        [v + 7 for v in f] for f in STACKED_OCTAHEDRON],
+}
+
 
 def star_replay(k, moves):
     """``replay``'s endpoint, or the failing index and the

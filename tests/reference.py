@@ -76,7 +76,18 @@ def cpn_pair(n):
 def check_polytope(dim, facet_names, vertices):
     """``SimplePolytope``'s checks, index by index: the facet names and
     vertices it stores, or the first fault it raises."""
-    names, vertices = tuple(facet_names), tuple(map(frozenset, vertices))
+    names = tuple(facet_names)
+    try:
+        listed = list(vertices)
+    except TypeError:  # no vertex list
+        raise UnknownFacetIndex(f"{vertices!r} is not a set of facet indices") from None
+    sets = []
+    for v in listed:
+        try:
+            sets.append(frozenset(v))
+        except TypeError:  # a vertex not iterable, or an index not hashable
+            raise UnknownFacetIndex(f"{v!r} is not a set of facet indices") from None
+    vertices = tuple(sets)
     n, m = dim, len(names)
     if not is_int(n):
         raise BadDimension(f"polytope dimension must be an int, got {n!r}")

@@ -20,6 +20,7 @@ from flipcert.surgery import build_ledger, certificate_to_doc
 
 from conftest import (
     B5_FACETS,
+    SHRINKABLE_NON_PSEUDOMANIFOLDS,
     certificate_mutation_sites,
     count_calls,
     run_python,
@@ -402,6 +403,12 @@ CLI_CASES = [
                  [0, 4, 5], [0, 4, 6], [0, 5, 6], [4, 5, 6]]}},
              code="BadInput", message="input is not a pseudomanifold",
              check=_no_output),
+    # the same refusal where the sweep removes vertices first: the gate
+    # reads the swept state, a pseudomanifold iff the input is one
+    *(cli_case(f"reduce-{name}", ["reduce", "@k"], {"@k": {"dim": 2, "facets": facets}},
+               code="BadInput", message="input is not a pseudomanifold",
+               check=_no_output)
+      for name, facets in SHRINKABLE_NON_PSEUDOMANIFOLDS.items()),
     cli_case("reduce-three-points", ["reduce", "@k"],
              {"@k": {"dim": 0, "facets": [[0], [1], [2]]}}, code="BadInput",
              message="a 0-dimensional sphere must be exactly two points",

@@ -9,13 +9,16 @@ reference path it replaces.
   and counts every state anew on the reference paths;
 - the search's closed-form f-vector update against ``f_vector`` of the
   rewritten complex;
-- the greedy sweep, which owns vertex removal (type ``dim``), lists the
-  removable vertices once and then takes each next one from its face
-  table, which judges again only the vertices whose star changed, against
-  the first top-type move of the reference enumeration applied by
-  ``apply_move`` until none is left; and every state annealing lists,
-  with the lower types alone, against that reference: it has no top-type
-  move;
+- the greedy sweep, which owns vertex removal (type ``dim``): inside
+  annealing it lists the removable vertices once and then takes each next
+  one from its face table, which judges again only the vertices whose
+  star changed; from the input it runs on vertex stars with no table.
+  Both against the first top-type move of the reference enumeration
+  applied by ``apply_move`` until none is left; and every state annealing
+  lists, with the lower types alone, against that reference: it has no
+  top-type move.  The swept state is a pseudomanifold iff the input is,
+  on spheres and on inputs the sweep shrinks that are none, so the gate
+  reads it;
 - the trusted constructor ``Complex._derived``, and the ``link``,
   ``apply_move`` and ``dual_complex`` built on it, against the validating
   ``Complex(...)`` fed the same facets computed from scratch, the duals on
@@ -47,8 +50,9 @@ reference path it replaces.
   ``CharacteristicPair``, which pass an exact ``int`` without calling
   ``is_int``, against their loops with every index judged by ``is_int``
   (``tests/reference.py``), on relabelled truncations, each mostly with
-  one fault put in, the polytope's dimension and a facet name among them:
-  the same stored value, or the same error type and text.
+  one fault put in, the polytope's dimension, a facet name and a vertex
+  that is no set of indices among them: the same stored value, or the
+  same error type and text.
 
 States come from random walks, in dimensions 1-5 and in both search modes,
 driven by the reference enumeration so the walk never trusts the code it
@@ -94,6 +98,7 @@ from flipcert.reduction import (
     ReductionOptions,
     ReductionResult,
     _greedy_vertex_removals,
+    _star_sweep,
     f_vector_after,
 )
 from flipcert.serialize import MalformedDocument, _kind_name, fields
@@ -102,6 +107,7 @@ from flipcert.surgery import build_ledger, verify_certificate
 from conftest import (
     CORRUPTIONS,
     EMPTY,
+    SHRINKABLE_NON_PSEUDOMANIFOLDS,
     brute_f_vector,
     checker_outcomes,
     count_calls,
@@ -265,14 +271,53 @@ def stacked_states(draw):
 @FAST
 @given(walk_states().map(lambda state: state[0]) | stacked_states())
 def test_greedy_sweep_matches_reference(k):
+    # the sweep inside annealing, on the search's face table, and the sweep
+    # from the input, on vertex stars
     table = FaceTable(k)
     sweep = _greedy_vertex_removals(table)
+    stars, swept = _star_sweep(k)
     reference, reference_trail = reference_sweep(k)
     assert_same_complex(table.snapshot(), reference)
+    assert_same_complex(swept, reference)
     # the search steps its f-vector over the moves the sweep returns
-    f = functools.reduce(f_vector_after, sweep, fc.f_vector(k))
-    assert f == fc.f_vector(reference)
-    assert sweep == reference_trail
+    for moves in (sweep, stars):
+        f = functools.reduce(f_vector_after, moves, fc.f_vector(k))
+        assert f == fc.f_vector(reference)
+    assert sweep == stars == reference_trail
+    assert fc.is_pseudomanifold(swept) == fc.is_pseudomanifold(k)
+
+
+@st.composite
+def shrinkable_non_pseudomanifolds(draw):
+    """A stacked state with a facet hung on a ridge away from the first
+    vertex its sweep removes, which stays removable, or two disjoint copies
+    of a stacked state: no pseudomanifold, and the sweep shrinks it."""
+    k = draw(stacked_states())
+    if draw(st.booleans()):
+        # a stacked state has one removable vertex at least: the last stacked
+        (v,) = reference_moves(k, {k.dim})[0].sigma
+        away = [f for f in k.facets if v not in f]
+        facet = away[draw(st.integers(0, len(away) - 1))]
+        dropped = facet[draw(st.integers(0, k.dim))]
+        ridge = tuple(w for w in facet if w != dropped)
+        return fc.Complex(k.dim, [*k.facets, ridge + (max(k.support) + 1,)])
+    shift = max(k.support) + 1
+    return fc.Complex(k.dim, [*k.facets, *([v + shift for v in f] for f in k.facets)])
+
+
+@FAST
+@given(shrinkable_non_pseudomanifolds())
+@example(fc.Complex(*NON_PSEUDOMANIFOLDS["tetrahedron boundary minus a facet"]))
+@example(fc.Complex(2, SHRINKABLE_NON_PSEUDOMANIFOLDS["stacked-octahedron-with-a-fin"]))
+@example(fc.Complex(2, SHRINKABLE_NON_PSEUDOMANIFOLDS["two-disjoint-stacked-octahedra"]))
+def test_a_sweep_keeps_the_pseudomanifold_verdict(k):
+    # so the gate may read the swept state: the refusal and its text stay
+    stars, swept = _star_sweep(k)
+    assert stars and len(swept.support) < len(k.support)
+    assert not fc.is_pseudomanifold(swept) and not fc.is_pseudomanifold(k)
+    with pytest.raises(BadInput) as caught:
+        fc.reduce_to_simplex(k, ReductionOptions())
+    assert str(caught.value) == "input is not a pseudomanifold"
 
 
 @FAST
@@ -280,8 +325,9 @@ def test_greedy_sweep_matches_reference(k):
 def test_faces_are_counted_once_and_never_when_the_sweep_ends(k):
     # a sweep that ends at a simplex boundary proves the input a sphere, so
     # the reduction is the sweep, no face is counted and no pseudomanifold
-    # test runs; any other reduction tests the input once and counts the
-    # faces of the swept state once, whatever its restarts
+    # test runs; any other reduction tests the swept state once, which is a
+    # pseudomanifold iff the input is, and counts its faces once, whatever
+    # its restarts
     reference, trail = reference_sweep(k)
     ended = fc.is_boundary_of_simplex(reference)
 
@@ -296,7 +342,7 @@ def test_faces_are_counted_once_and_never_when_the_sweep_ends(k):
     if ended:
         assert result == ReductionResult(tuple(trail), reference, True, len(trail))
     assert calls == ([] if ended else [reference])
-    assert [state is k for state in tested] == ([] if ended else [True])
+    assert tested == ([] if ended else [reference])
 
 
 @pytest.mark.parametrize("k", [
@@ -523,7 +569,7 @@ def test_only_link_apply_move_the_face_table_and_the_dual_use_the_trusted_constr
                         callers.add((path.name, function.name))
     assert callers == {
         ("complexes.py", "link"), ("moves.py", "apply_move"), ("moves.py", "snapshot"),
-        ("polytopes.py", "dual_complex"),
+        ("polytopes.py", "dual_complex"), ("reduction.py", "_star_sweep"),
     }
 
 
@@ -1047,8 +1093,9 @@ def polytope_args(draw):
     """(dim, facet names, vertices) of a relabelled truncation, the vertices
     as lists, tuples or frozensets, mostly with one fault put in: the
     dimension, a facet name, an index, a vertex repeated, short, long or
-    with an index listed twice, a facet no vertex uses, or no vertices at
-    all."""
+    with an index listed twice, a facet no vertex uses, no vertices at
+    all, an unhashable index, a vertex that is no collection, or a vertex
+    list that is none."""
     p = draw(relabelled_truncations())
     dim, names, m = p.dim, list(p.facet_names), p.facet_count
     shape = draw(st.sampled_from((list, tuple, frozenset)))
@@ -1057,7 +1104,8 @@ def polytope_args(draw):
     v = vertices[i]
     fault = draw(st.sampled_from((None, "dim", "name", "index", "repeated vertex",
                                   "short", "long", "repeated index", "unused",
-                                  "empty")))
+                                  "empty", "unhashable index", "no vertex",
+                                  "no vertex list")))
     if fault == "dim":
         dim = faulty(draw, dim, m)
     elif fault == "name":
@@ -1077,7 +1125,14 @@ def polytope_args(draw):
         names.append("unused")
     elif fault == "empty":
         vertices = []
-    return dim, names, [shape(v) for v in vertices]
+    shaped = [shape(v) for v in vertices]
+    if fault == "unhashable index":  # a list: no frozenset can hold it
+        shaped[i] = [*v[:-1], [v[-1]]]
+    elif fault == "no vertex":
+        shaped[i] = draw(st.sampled_from((5, None)))
+    elif fault == "no vertex list":
+        shaped = draw(st.sampled_from((7, None)))
+    return dim, names, shaped
 
 
 def stored(build):

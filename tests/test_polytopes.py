@@ -121,9 +121,18 @@ def test_a_repeated_facet_index_is_not_a_vertex_however_built(build):
 
 
 @pytest.mark.parametrize("build", [make_polytope, SimplePolytope])
-def test_an_unhashable_facet_index_is_a_type_error_however_built(build):
-    with pytest.raises(TypeError):
-        build(2, ["a", "b", "c"], [[[0], 1], [1, 2], [0, 2]])
+@pytest.mark.parametrize("vertices, text", [
+    ([[[0], 1], [1, 2], [0, 2]], "[[0], 1] is not a set of facet indices"),
+    ([5, [1, 2], [0, 2]], "5 is not a set of facet indices"),
+    (7, "7 is not a set of facet indices"),
+], ids=["unhashable-index", "int-vertex", "int-vertex-list"])
+def test_a_vertex_that_is_no_set_of_indices_is_refused_by_name_however_built(
+        build, vertices, text):
+    # an unhashable index, a vertex or a vertex list that is not iterable:
+    # each named in one line, not a bare TypeError from frozenset
+    with pytest.raises(UnknownFacetIndex) as caught:
+        build(2, ["a", "b", "c"], vertices)
+    assert str(caught.value) == text
 
 
 def test_a_polytope_built_directly_equals_make_polytope():

@@ -32,15 +32,17 @@ def test_reduce_bipyramid_single_move(b5):
     ("cube-4", "free"),
 ])
 def test_sweep_and_annealing_each_list_a_state_once(monkeypatch, name, mode):
-    # each sweep (one from the input, then one after each accepted annealing
-    # move) lists the top type once, on the state it starts from, then
-    # rechecks only links; annealing lists the lower types once per state a
-    # sweep leaves (a rejected uphill proposal keeps the list), and such a
-    # state has no top-type move: the sweep owns type dim
+    # the sweep from the input, on vertex stars, lists nothing; each sweep
+    # inside annealing (one after each accepted move) lists the top type
+    # once, on the state it starts from, then rechecks only links;
+    # annealing lists the lower types once per state a sweep leaves (a
+    # rejected uphill proposal keeps the list), and such a state has no
+    # top-type move: the sweep owns type dim
     from flipcert import reduction
 
     original_enumerate = reduction.enumerate_moves
     original_sweep = reduction._greedy_vertex_removals
+    original_stars = reduction._star_sweep
     events = []
 
     # the search's face table mutates: a state is logged as its facets
@@ -54,8 +56,15 @@ def test_sweep_and_annealing_each_list_a_state_once(monkeypatch, name, mode):
         events.append(("swept", frozenset(table.facets), None))
         return f
 
+    def stars_logged(k):
+        events.append(("stars", frozenset(k.facets), None))
+        moves, swept = original_stars(k)
+        events.append(("swept", frozenset(swept.facets), None))
+        return moves, swept
+
     monkeypatch.setattr(reduction, "enumerate_moves", enumerate_logged)
     monkeypatch.setattr(reduction, "_greedy_vertex_removals", sweep_logged)
+    monkeypatch.setattr(reduction, "_star_sweep", stars_logged)
     k = fc.dual_complex(fc.named_polytope(name)).complex
     result = fc.reduce_to_simplex(k, ReductionOptions(mode=mode, rng_seed=0))
     assert result.succeeded
@@ -65,10 +74,13 @@ def test_sweep_and_annealing_each_list_a_state_once(monkeypatch, name, mode):
     for previous, (event, state, types), following in zip(
         [None] + events, events, events[1:] + [None]
     ):
-        if event == "sweep":
+        if event == "stars":
+            assert previous is None and following[0] == "swept"
+        elif event == "sweep":
             assert following == ("list", state, top)
         elif event == "swept":
-            assert previous[0] == "list" and previous[2] == top
+            assert previous[0] == "stars" or (
+                previous[0] == "list" and previous[2] == top)
         elif event == "list" and types == top:
             assert previous == ("sweep", state, None)
         elif event == "list":
@@ -177,14 +189,18 @@ def test_the_sweep_runs_from_the_input_once(monkeypatch, octahedron):
     from flipcert import reduction
 
     k = fc.apply_move(octahedron, Move(octahedron.facets[0], (6,), 0))
-    original = reduction._greedy_vertex_removals
+    original = reduction._star_sweep
     starts = []
 
-    def sweep_logged(table, *args):
-        starts.append(table.snapshot())
-        return original(table, *args)
+    def sweep_logged(state):
+        starts.append(state)
+        return original(state)
 
-    monkeypatch.setattr(reduction, "_greedy_vertex_removals", sweep_logged)
+    def no_table(table):
+        raise AssertionError("a sweep ran on a face table without a step")
+
+    monkeypatch.setattr(reduction, "_star_sweep", sweep_logged)
+    monkeypatch.setattr(reduction, "_greedy_vertex_removals", no_table)
     result = fc.reduce_to_simplex(k, ReductionOptions(max_steps=0, restarts=8))
     assert not result.succeeded
     assert starts == [k]
@@ -200,10 +216,12 @@ def test_the_sweep_ends_at_dimension_0():
     proc = run_python(["-c", (
         "import flipcert as fc\n"
         "from flipcert.moves import FaceTable\n"
-        "from flipcert.reduction import _greedy_vertex_removals\n"
-        "print(_greedy_vertex_removals(FaceTable(fc.Complex(0, [[0], [1]]))))"
+        "from flipcert.reduction import _greedy_vertex_removals, _star_sweep\n"
+        "k = fc.Complex(0, [[0], [1]])\n"
+        "print(_greedy_vertex_removals(FaceTable(k)))\n"
+        "print(_star_sweep(k) == ([], k))"
     )], timeout=10)
-    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+    assert (proc.returncode, proc.stdout) == (0, "[]\nTrue\n"), proc.stderr
     # so the search may sweep a point pair, which is a simplex boundary
     k = fc.Complex(0, [[0], [1]])
     result = fc.reduce_to_simplex(k, ReductionOptions())

@@ -284,6 +284,7 @@ def test_empty_chain_builds_no_vertex_stars(monkeypatch):
     "moves.enumerate_moves",
     "moves.FaceTable",
     "reduction._greedy_vertex_removals",
+    "reduction._star_sweep",
     "reduction.reduce_to_simplex",
 ))
 def test_the_checker_never_runs_the_search(monkeypatch, corpus_certs, path):
