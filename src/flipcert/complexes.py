@@ -62,7 +62,10 @@ def is_int(v) -> bool:
 
 def as_simplex(vertices) -> Simplex:
     """Judge every vertex id, then sort them into a simplex tuple."""
-    vs = tuple(vertices)
+    try:
+        vs = tuple(vertices)
+    except TypeError:  # no iterable of ids
+        raise BadVertexId(f"{vertices!r} is not a set of vertex ids") from None
     for v in vs:
         if not is_int(v):
             raise BadVertexId(f"vertex id {v!r} is not a non-negative integer")
@@ -91,7 +94,10 @@ class Complex:
     def __init__(self, dim: int, facets):
         if not is_int(dim):
             raise BadDimension(f"complex dimension must be an int, got {dim!r}")
-        cleaned = sorted({as_simplex(f) for f in facets})
+        try:
+            cleaned = sorted({as_simplex(f) for f in facets})
+        except TypeError:  # no iterable of facets: as_simplex raises no TypeError
+            raise InputError(f"{facets!r} is not a list of facets") from None
         if not cleaned:
             raise EmptyComplex("a complex needs at least one facet")
         for f in cleaned:

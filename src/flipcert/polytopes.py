@@ -54,7 +54,10 @@ class SimplePolytope:
     vertices: tuple  # tuple of frozensets of facet indices
 
     def __post_init__(self):
-        names, vertices, v = tuple(self.facet_names), [], self.vertices
+        try:
+            names, vertices, v = tuple(self.facet_names), [], self.vertices
+        except TypeError:  # no iterable of names
+            raise InputError(f"{self.facet_names!r} is not a list of names") from None
         try:
             for v in self.vertices:
                 vertices.append(frozenset(v))

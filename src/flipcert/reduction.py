@@ -84,8 +84,6 @@ def _greedy_vertex_removals(table) -> list:
     which judges again only the vertices whose star the removal changed,
     and the next removal is the least of ``table.moves(dim)``.
     """
-    if table.dim < 1:  # at dimension 0, type dim is type 0: it always applies
-        return []
     removed = []
     listed = enumerate_moves(table, {table.dim})
     while listed:

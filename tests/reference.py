@@ -76,7 +76,10 @@ def cpn_pair(n):
 def check_polytope(dim, facet_names, vertices):
     """``SimplePolytope``'s checks, index by index: the facet names and
     vertices it stores, or the first fault it raises."""
-    names = tuple(facet_names)
+    try:
+        names = tuple(facet_names)
+    except TypeError:  # no name list
+        raise InputError(f"{facet_names!r} is not a list of names") from None
     try:
         listed = list(vertices)
     except TypeError:  # no vertex list

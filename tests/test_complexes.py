@@ -14,6 +14,9 @@ from flipcert.complexes import (
     has_face,
     link,
 )
+from flipcert.errors import InputError
+from flipcert.moves import Move, ReplayFailure, apply_move
+from flipcert.polytopes import SimplePolytope
 
 from conftest import brute_f_vector, brute_faces
 from reference import (
@@ -58,6 +61,29 @@ def test_new_complex_judges_each_id_before_it_sorts(bad):
 def test_new_complex_names_the_smallest_negative_id():
     with pytest.raises(BadVertexId, match=r"^vertex id -2 is not a non-negative"):
         fc.Complex(2, [[3, -1, -2]])
+
+
+TRIANGLE = [[0, 1], [1, 2], [0, 2]]
+
+
+@pytest.mark.parametrize("build, error, text", [
+    (lambda: SimplePolytope(2, 5, TRIANGLE), InputError, "5 is not a list of names"),
+    (lambda: SimplePolytope(2, None, TRIANGLE), InputError,
+     "None is not a list of names"),
+    (lambda: fc.Complex(1, [5]), BadVertexId, "5 is not a set of vertex ids"),
+    (lambda: fc.Complex(1, [None]), BadVertexId, "None is not a set of vertex ids"),
+    (lambda: fc.Complex(1, 5), InputError, "5 is not a list of facets"),
+    (lambda: apply_move(fc.Complex(1, TRIANGLE), Move(5, (1,), 2)), BadVertexId,
+     "5 is not a set of vertex ids"),
+    (lambda: fc.replay(fc.Complex(1, TRIANGLE), [Move(None, (1,), 2)]), ReplayFailure,
+     "move 0 failed: BadVertexId: None is not a set of vertex ids"),
+], ids=["polytope-names-int", "polytope-names-none", "facet-int", "facet-none",
+        "facets-int", "apply-sigma-int", "replay-sigma-none"])
+def test_a_collection_that_is_not_iterable_is_refused_by_name(build, error, text):
+    # each named in one line, not a bare TypeError from tuple() or a loop
+    with pytest.raises(error) as caught:
+        build()
+    assert type(caught.value) is error and str(caught.value) == text
 
 
 def test_has_face(delta3, b5):

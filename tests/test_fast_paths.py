@@ -50,9 +50,9 @@ reference path it replaces.
   ``CharacteristicPair``, which pass an exact ``int`` without calling
   ``is_int``, against their loops with every index judged by ``is_int``
   (``tests/reference.py``), on relabelled truncations, each mostly with
-  one fault put in, the polytope's dimension, a facet name and a vertex
-  that is no set of indices among them: the same stored value, or the
-  same error type and text.
+  one fault put in, the polytope's dimension, a facet name, a name list
+  and a vertex that is no set of indices among them: the same stored
+  value, or the same error type and text.
 
 States come from random walks, in dimensions 1-5 and in both search modes,
 driven by the reference enumeration so the walk never trusts the code it
@@ -1092,24 +1092,27 @@ def faulty(draw, value, m):
 def polytope_args(draw):
     """(dim, facet names, vertices) of a relabelled truncation, the vertices
     as lists, tuples or frozensets, mostly with one fault put in: the
-    dimension, a facet name, an index, a vertex repeated, short, long or
-    with an index listed twice, a facet no vertex uses, no vertices at
-    all, an unhashable index, a vertex that is no collection, or a vertex
-    list that is none."""
+    dimension, a facet name, a name list that is none, an index, a vertex
+    repeated, short, long or with an index listed twice, a facet no vertex
+    uses, no vertices at all, an unhashable index, a vertex that is no
+    collection, or a vertex list that is none."""
     p = draw(relabelled_truncations())
     dim, names, m = p.dim, list(p.facet_names), p.facet_count
     shape = draw(st.sampled_from((list, tuple, frozenset)))
     vertices = [sorted(v) for v in p.vertices]
     i = draw(st.integers(0, len(vertices) - 1))
     v = vertices[i]
-    fault = draw(st.sampled_from((None, "dim", "name", "index", "repeated vertex",
-                                  "short", "long", "repeated index", "unused",
-                                  "empty", "unhashable index", "no vertex",
+    fault = draw(st.sampled_from((None, "dim", "name", "names", "index",
+                                  "repeated vertex", "short", "long",
+                                  "repeated index", "unused", "empty",
+                                  "unhashable index", "no vertex",
                                   "no vertex list")))
     if fault == "dim":
         dim = faulty(draw, dim, m)
     elif fault == "name":
         names[draw(st.integers(0, m - 1))] = draw(st.sampled_from((0, None, ["a"])))
+    elif fault == "names":
+        names = draw(st.sampled_from((5, None)))
     elif fault == "index":
         j = draw(st.integers(0, len(v) - 1))
         v[j] = faulty(draw, v[j], m)

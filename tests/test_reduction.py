@@ -209,24 +209,33 @@ def test_the_sweep_runs_from_the_input_once(monkeypatch, octahedron):
     assert result.steps_examined == 8  # the sweep's move, once per restart
 
 
-def test_the_sweep_ends_at_dimension_0():
+def test_the_sweep_ends_at_dimension_0(monkeypatch):
     # type dim is type 0 on a point pair, which always applies, so a sweep
     # there would replace a point by a fresh one forever: run it in a child
     # held to a time limit, so that a sweep that never ends fails the test
     proc = run_python(["-c", (
         "import flipcert as fc\n"
-        "from flipcert.moves import FaceTable\n"
-        "from flipcert.reduction import _greedy_vertex_removals, _star_sweep\n"
+        "from flipcert.reduction import _star_sweep\n"
         "k = fc.Complex(0, [[0], [1]])\n"
-        "print(_greedy_vertex_removals(FaceTable(k)))\n"
         "print(_star_sweep(k) == ([], k))"
     )], timeout=10)
-    assert (proc.returncode, proc.stdout) == (0, "[]\nTrue\n"), proc.stderr
-    # so the search may sweep a point pair, which is a simplex boundary
+    assert (proc.returncode, proc.stdout) == (0, "True\n"), proc.stderr
+    # no table sweep runs below dimension 1: a point pair ends the search
+    # at the sweep from the input, and the gates refuse any other
+    # 0-dimensional input before a restart could sweep it
+    from flipcert import reduction
+
+    def table_sweep(table):
+        raise AssertionError("a table sweep ran at dimension 0")
+
+    monkeypatch.setattr(reduction, "_greedy_vertex_removals", table_sweep)
     k = fc.Complex(0, [[0], [1]])
     result = fc.reduce_to_simplex(k, ReductionOptions())
     assert (result.moves, result.final, result.succeeded) == ((), k, True)
     assert result.steps_examined == 0
+    with pytest.raises(BadInput) as info:
+        fc.reduce_to_simplex(fc.Complex(0, [[0], [1], [2]]), ReductionOptions())
+    assert str(info.value) == "a 0-dimensional sphere must be exactly two points"
 
 
 def test_replay(delta3, b5):
